@@ -495,8 +495,8 @@ func BenchmarkObjective(b *testing.B) {
 }
 
 // BenchmarkObjectiveParallel measures the batched simulation-scored argmin
-// against the PR-5 serial path: "serial" re-enables the one-candidate-at-a-
-// time full-report replay (debugSerialScoring), while wN runs the live
+// against the serial reference: "serial" scores one candidate at a time
+// with a full-report replay (scoreSerial), while wN runs the live
 // branch-and-bound batch scorer with an N-worker budget. On a single-core
 // host the speedup comes from pruning, arena reuse and report-free replays
 // rather than concurrency, so wN tracks w1 closely there; allocs/op pins
@@ -511,8 +511,9 @@ func BenchmarkObjectiveParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		debugSerialScoring = serialScoring
-		defer func() { debugSerialScoring = false }()
+		if serialScoring {
+			eng.scoring = scoreSerial
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		var res *Result

@@ -170,8 +170,8 @@ func main() {
 	}
 	if *trace && res.SimStats != (hybridpart.SimScoreStats{}) {
 		st := res.SimStats
-		fmt.Fprintf(os.Stderr, "hpart: sim scoring: %d scored (%d replays, %d closed-form, %d incremental), %d pruned, %d parallel, %d memo hits, %d workers\n",
-			st.Scored, st.Replays, st.ClosedForm, st.Incremental, st.Pruned, st.Parallel, st.MemoHits, st.Workers)
+		fmt.Fprintf(os.Stderr, "hpart: sim scoring: %d scored (%d replays, %d closed-form), %d pruned, %d parallel, %d memo hits, %d workers\n",
+			st.Scored, st.Replays, st.ClosedForm, st.Pruned, st.Parallel, st.MemoHits, st.Workers)
 	}
 	if *jsonOut {
 		// Machine-readable path: the same wire type the partitioning

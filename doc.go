@@ -126,9 +126,11 @@
 // Simulated scoring is parallel and pruned: candidates are bounded by
 // admissible lower bounds (sim.Replayer.LowerBound, FineWalkBound) and only
 // those that can still beat the incumbent replay, on a WithWorkers-bounded
-// pool with per-worker replay arenas. The outcome is bit-identical to
-// serial scoring at every worker count — ties break on trajectory index —
-// and Result.SimStats reports the scored/pruned/parallel counters.
+// pool with per-worker replay arenas. Single-frame no-prefetch candidates
+// take the additive closed form (sim.Replayer.ClosedForm) on the same pool,
+// unpruned. The outcome is bit-identical to serial scoring at every worker
+// count — ties break on trajectory index — and Result.SimStats reports the
+// scored/pruned/parallel counters.
 //
 // # Service
 //

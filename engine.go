@@ -41,6 +41,9 @@ type Engine struct {
 	budget        float64
 	observer      Observer
 	workers       int
+	// scoring selects the simulated-objective scoring path; only
+	// same-package tests and benchmarks set it to a reference mode.
+	scoring scoringMode
 	// obsMu serializes observer delivery across concurrent runs on the
 	// same engine, upholding the Observer contract ("never invoked
 	// concurrently") even when Partition/Sweep are called from multiple
@@ -527,10 +530,8 @@ func (e *Engine) partitionScored(ctx context.Context, a *App, p *RunProfile, opt
 		// The scorer's pool reuses the engine's worker budget (WithWorkers,
 		// 0 = GOMAXPROCS), the same knob the sweep honors.
 		scorer.workers = e.workers
-		cfg.SimCost = scorer.Score
-		if !debugSerialScoring {
-			cfg.SimCostBatch = scorer.ScoreBatch
-		}
+		scorer.mode = e.scoring
+		cfg.SimCostBatch = scorer.ScoreBatch
 	}
 	res, err := partition.Partition(ctx, a.fprog, a.flat, an.rep, cfg)
 	if err != nil {

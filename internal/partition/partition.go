@@ -55,8 +55,8 @@ type Config struct {
 
 	// Objective selects the move-loop objective. Under ObjectiveSimulated
 	// the loop walks the full trajectory (ignoring the constraint-met early
-	// exit), scores every prefix with SimCost and keeps the mapping with the
-	// minimal simulated makespan.
+	// exit), scores every prefix with SimCostBatch and keeps the mapping with
+	// the minimal simulated makespan.
 	Objective Objective
 	// RerankK keeps the closed-form loop but re-scores the k trajectory
 	// prefixes with the best model t_total by simulation, returning the one
@@ -64,18 +64,15 @@ type Config struct {
 	// is equivalent to ObjectiveSimulated). Mutually exclusive with
 	// ObjectiveSimulated.
 	RerankK int
-	// SimCost scores a candidate moved-set by its simulated makespan in FPGA
-	// cycles. Required when Objective is ObjectiveSimulated or RerankK is
-	// non-zero; the engine facade injects the co-simulator here (this package
-	// cannot import internal/sim, which imports it back for ComputeLiveIO).
-	SimCost func(ctx context.Context, moved []ir.BlockID) (int64, error)
-	// SimCostBatch, when non-nil, scores a whole slate of candidate
-	// moved-sets at once and takes precedence over per-candidate SimCost
-	// calls in the argmin pass. The scorer may evaluate candidates
-	// concurrently and may prune any candidate it can prove is not the
-	// argmin (bounded below above some fully scored candidate); a pruned
-	// entry carries no cycle count and is skipped by the selection. The
-	// returned slice must have one entry per candidate, index-aligned.
+	// SimCostBatch scores a whole slate of candidate moved-sets by simulated
+	// makespan in FPGA cycles. Required when Objective is ObjectiveSimulated
+	// or RerankK is non-zero; the engine facade injects the co-simulator here
+	// (this package cannot import internal/sim, which imports it back for
+	// ComputeLiveIO). The scorer may evaluate candidates concurrently and may
+	// prune any candidate it can prove is not the argmin (bounded below above
+	// some fully scored candidate); a pruned entry carries no cycle count and
+	// is skipped by the selection. The returned slice must have one entry per
+	// candidate, index-aligned.
 	SimCostBatch func(ctx context.Context, candidates [][]ir.BlockID) ([]SimScore, error)
 }
 
@@ -142,7 +139,8 @@ type Result struct {
 	// mapping when the objective or rerank consulted the simulator; 0 when
 	// the run was purely closed-form.
 	SimulatedCycles int64
-	// SimScored counts the candidate mappings scored by SimCost.
+	// SimScored counts the candidate mappings scored by SimCostBatch (pruned
+	// candidates excluded).
 	SimScored int
 }
 
@@ -189,8 +187,8 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	// the whole trajectory and a simulation-scored argmin pass picks the
 	// winning prefix afterwards.
 	simSelect := cfg.Objective == ObjectiveSimulated || cfg.RerankK != 0
-	if simSelect && cfg.SimCost == nil {
-		return nil, fmt.Errorf("partition: objective %v (rerank %d) needs a SimCost evaluator", cfg.Objective, cfg.RerankK)
+	if simSelect && cfg.SimCostBatch == nil {
+		return nil, fmt.Errorf("partition: objective %v (rerank %d) needs a SimCostBatch evaluator", cfg.Objective, cfg.RerankK)
 	}
 
 	plat := cfg.Platform
@@ -347,57 +345,37 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	argCtx, argSpan := obs.Start(ctx, "sim.argmin", obs.Int("prefixes", len(prefixes)))
 	ctx = argCtx
 	bestIdx, bestSim := -1, int64(0)
-	if cfg.SimCostBatch != nil {
-		// Batch path: hand the scorer the whole slate so it can run its
-		// worker pool and prune. Selection stays in candidate-index order
-		// with a strict < comparison, so ties break on the lowest trajectory
-		// index exactly like the serial loop — a pruned candidate is by
-		// contract strictly worse than some scored one, so skipping it never
-		// changes the argmin.
-		idxs := make([]int, 0, len(prefixes))
-		cands := make([][]ir.BlockID, 0, len(prefixes))
-		for i := range prefixes {
-			if candidate[i] {
-				idxs = append(idxs, i)
-				cands = append(cands, res.Moved[:i])
-			}
+	// Hand the scorer the whole slate so it can run its worker pool and
+	// prune. Selection stays in candidate-index order with a strict <
+	// comparison, so ties break on the lowest trajectory index — a pruned
+	// candidate is by contract strictly worse than some scored one, so
+	// skipping it never changes the argmin.
+	idxs := make([]int, 0, len(prefixes))
+	cands := make([][]ir.BlockID, 0, len(prefixes))
+	for i := range prefixes {
+		if candidate[i] {
+			idxs = append(idxs, i)
+			cands = append(cands, res.Moved[:i])
 		}
-		scores, err := cfg.SimCostBatch(ctx, cands)
-		if err != nil {
-			return nil, err
+	}
+	scores, err := cfg.SimCostBatch(ctx, cands)
+	if err != nil {
+		return nil, err
+	}
+	if len(scores) != len(cands) {
+		return nil, fmt.Errorf("partition: SimCostBatch returned %d scores for %d candidates", len(scores), len(cands))
+	}
+	for k, i := range idxs {
+		if scores[k].Pruned {
+			continue
 		}
-		if len(scores) != len(cands) {
-			return nil, fmt.Errorf("partition: SimCostBatch returned %d scores for %d candidates", len(scores), len(cands))
+		res.SimScored++
+		if bestIdx < 0 || scores[k].Cycles < bestSim {
+			bestIdx, bestSim = i, scores[k].Cycles
 		}
-		for k, i := range idxs {
-			if scores[k].Pruned {
-				continue
-			}
-			res.SimScored++
-			if bestIdx < 0 || scores[k].Cycles < bestSim {
-				bestIdx, bestSim = i, scores[k].Cycles
-			}
-		}
-		if bestIdx < 0 {
-			return nil, fmt.Errorf("partition: SimCostBatch pruned every candidate")
-		}
-	} else {
-		for i := range prefixes {
-			if !candidate[i] {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			sim, err := cfg.SimCost(ctx, res.Moved[:i])
-			if err != nil {
-				return nil, err
-			}
-			res.SimScored++
-			if bestIdx < 0 || sim < bestSim {
-				bestIdx, bestSim = i, sim
-			}
-		}
+	}
+	if bestIdx < 0 {
+		return nil, fmt.Errorf("partition: SimCostBatch pruned every candidate")
 	}
 	argSpan.Set(obs.Int("scored", res.SimScored), obs.Int("best_prefix", bestIdx))
 	argSpan.End()

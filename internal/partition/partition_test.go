@@ -368,9 +368,8 @@ func TestOnMoveMatchesMoves(t *testing.T) {
 }
 
 // batchStub builds a SimCostBatch stub whose scores are computed per slate
-// index, plus the SimCost fallback the config validator requires (it must
-// never run while the batch hook is installed).
-func batchStub(t *testing.T, score func(i int, moved []ir.BlockID) SimScore) (func(context.Context, [][]ir.BlockID) ([]SimScore, error), func(context.Context, []ir.BlockID) (int64, error), *[][]ir.BlockID) {
+// index, and records the slate it was handed.
+func batchStub(t *testing.T, score func(i int, moved []ir.BlockID) SimScore) (func(context.Context, [][]ir.BlockID) ([]SimScore, error), *[][]ir.BlockID) {
 	t.Helper()
 	var slates [][]ir.BlockID
 	batch := func(ctx context.Context, cands [][]ir.BlockID) ([]SimScore, error) {
@@ -381,24 +380,19 @@ func batchStub(t *testing.T, score func(i int, moved []ir.BlockID) SimScore) (fu
 		}
 		return out, nil
 	}
-	serial := func(ctx context.Context, moved []ir.BlockID) (int64, error) {
-		t.Fatal("SimCost ran although SimCostBatch is installed (batch must take precedence)")
-		return 0, nil
-	}
-	return batch, serial, &slates
+	return batch, &slates
 }
 
-// TestSimCostBatchPrecedenceAndSlate: with both hooks installed only the
-// batch hook runs, and it receives every trajectory prefix in index order —
-// slate entry i is exactly the first i moved blocks.
-func TestSimCostBatchPrecedenceAndSlate(t *testing.T) {
+// TestSimCostBatchSlate: the batch hook receives every trajectory prefix in
+// index order — slate entry i is exactly the first i moved blocks.
+func TestSimCostBatchSlate(t *testing.T) {
 	p := prepare(t, hotLoopSrc, "f", interp.Int(8))
-	batch, serial, slates := batchStub(t, func(i int, moved []ir.BlockID) SimScore {
+	batch, slates := batchStub(t, func(i int, moved []ir.BlockID) SimScore {
 		return SimScore{Cycles: int64(1000 - i)} // strictly improving: full trajectory wins
 	})
 	res := p.run(t, Config{
 		Platform: platform.Paper(5000, 2), Constraint: 1,
-		Objective: ObjectiveSimulated, SimCost: serial, SimCostBatch: batch,
+		Objective: ObjectiveSimulated, SimCostBatch: batch,
 	})
 	if len(*slates) < 2 {
 		t.Fatalf("batch saw %d candidates, want the full prefix slate", len(*slates))
@@ -424,12 +418,12 @@ func TestSimCostBatchPrecedenceAndSlate(t *testing.T) {
 // lowest trajectory index, independent of how the batch was scheduled.
 func TestSimCostBatchTieBreaksLowestIndex(t *testing.T) {
 	p := prepare(t, hotLoopSrc, "f", interp.Int(8))
-	batch, serial, _ := batchStub(t, func(i int, moved []ir.BlockID) SimScore {
+	batch, _ := batchStub(t, func(i int, moved []ir.BlockID) SimScore {
 		return SimScore{Cycles: 777}
 	})
 	res := p.run(t, Config{
 		Platform: platform.Paper(5000, 2), Constraint: 1,
-		Objective: ObjectiveSimulated, SimCost: serial, SimCostBatch: batch,
+		Objective: ObjectiveSimulated, SimCostBatch: batch,
 	})
 	if len(res.Moved) != 0 {
 		t.Fatalf("all-tied scores must keep the lowest-index prefix (no moves), got %v", res.Moved)
@@ -444,7 +438,7 @@ func TestSimCostBatchTieBreaksLowestIndex(t *testing.T) {
 // the best scored candidate as argmin.
 func TestSimCostBatchPrunedSkipped(t *testing.T) {
 	p := prepare(t, hotLoopSrc, "f", interp.Int(8))
-	batch, serial, slates := batchStub(t, func(i int, moved []ir.BlockID) SimScore {
+	batch, slates := batchStub(t, func(i int, moved []ir.BlockID) SimScore {
 		if i == 0 {
 			return SimScore{Pruned: true} // prune the lowest index so it cannot win a tie
 		}
@@ -452,7 +446,7 @@ func TestSimCostBatchPrunedSkipped(t *testing.T) {
 	})
 	res := p.run(t, Config{
 		Platform: platform.Paper(5000, 2), Constraint: 1,
-		Objective: ObjectiveSimulated, SimCost: serial, SimCostBatch: batch,
+		Objective: ObjectiveSimulated, SimCostBatch: batch,
 	})
 	if len(res.Moved) != 1 {
 		t.Fatalf("moved %v, want the 1-block prefix (index 1 is the cheapest scored candidate)", res.Moved)
@@ -470,12 +464,12 @@ func TestSimCostBatchPrunedSkipped(t *testing.T) {
 // must fail loudly instead of silently picking a pruned mapping.
 func TestSimCostBatchAllPrunedErrors(t *testing.T) {
 	p := prepare(t, hotLoopSrc, "f", interp.Int(8))
-	batch, serial, _ := batchStub(t, func(i int, moved []ir.BlockID) SimScore {
+	batch, _ := batchStub(t, func(i int, moved []ir.BlockID) SimScore {
 		return SimScore{Pruned: true}
 	})
 	cfg := Config{
 		Platform: platform.Paper(5000, 2), Constraint: 1,
-		Objective: ObjectiveSimulated, SimCost: serial, SimCostBatch: batch,
+		Objective: ObjectiveSimulated, SimCostBatch: batch,
 	}
 	cfg.Edges = p.edges
 	_, err := Partition(context.Background(), p.prog, p.fn, p.rep, cfg)
@@ -489,13 +483,12 @@ func TestSimCostBatchAllPrunedErrors(t *testing.T) {
 // result.
 func TestSimCostBatchLengthMismatchErrors(t *testing.T) {
 	p := prepare(t, hotLoopSrc, "f", interp.Int(8))
-	serial := func(ctx context.Context, moved []ir.BlockID) (int64, error) { return 1, nil }
 	batch := func(ctx context.Context, cands [][]ir.BlockID) ([]SimScore, error) {
 		return make([]SimScore, len(cands)+1), nil
 	}
 	cfg := Config{
 		Platform: platform.Paper(5000, 2), Constraint: 1,
-		Objective: ObjectiveSimulated, SimCost: serial, SimCostBatch: batch,
+		Objective: ObjectiveSimulated, SimCostBatch: batch,
 	}
 	cfg.Edges = p.edges
 	_, err := Partition(context.Background(), p.prog, p.fn, p.rep, cfg)

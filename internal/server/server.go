@@ -41,11 +41,11 @@
 // runs under a root span — joined across fleet forwards via the W3C
 // traceparent header — and finished traces are served by /debug/traces.
 //
-// Error contract: malformed bodies are 400, unknown presets/benchmarks 404,
-// workloads that fail to compile/profile/partition 422, admission-shed
-// requests 429 (with Retry-After), client-cancelled runs 499 (nginx
-// convention), deadline-exceeded runs 504. Every non-2xx body is
-// ErrorJSON.
+// Error contract: malformed bodies are 400, bodies over 8 MiB 413, unknown
+// presets/benchmarks 404, workloads that fail to compile/profile/partition
+// 422, admission-shed requests 429 (with Retry-After), client-cancelled
+// runs 499 (nginx convention), deadline-exceeded runs 504. Every non-2xx
+// body is ErrorJSON.
 package server
 
 import (
@@ -578,13 +578,31 @@ func (s *Server) statsJSON() StatsJSON {
 	return out
 }
 
-// decodePartitionRequest parses and shape-checks a partition body.
-func decodePartitionRequest(r *http.Request, energy bool) (*PartitionRequest, *httpError) {
-	var req PartitionRequest
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps every JSON request body. The largest legitimate body
+// is an inline JPEG source, about 250 KB.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes r's JSON body into v, rejecting unknown fields (400)
+// and bodies over maxBodyBytes (413) before reading past the cap.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) *httpError {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, badRequest("malformed request body: " + err.Error())
+	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return &httpError{status: http.StatusRequestEntityTooLarge,
+				msg: fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)}
+		}
+		return badRequest("malformed request body: " + err.Error())
+	}
+	return nil
+}
+
+// decodePartitionRequest parses and shape-checks a partition body.
+func decodePartitionRequest(w http.ResponseWriter, r *http.Request, energy bool) (*PartitionRequest, *httpError) {
+	var req PartitionRequest
+	if e := decodeBody(w, r, &req); e != nil {
+		return nil, e
 	}
 	if e := req.validate(energy); e != nil {
 		return nil, e
@@ -694,7 +712,7 @@ func (s *Server) servePartition(w http.ResponseWriter, r *http.Request, energy b
 	if energy {
 		endpoint, kind = "/v1/partition-energy", "energy"
 	}
-	req, httpErr := decodePartitionRequest(r, energy)
+	req, httpErr := decodePartitionRequest(w, r, energy)
 	if httpErr == nil {
 		if !energy {
 			// The service default: requests that leave the objective
@@ -794,10 +812,8 @@ func (s *Server) handlePartitionEnergy(w http.ResponseWriter, r *http.Request) {
 // wire encoding of the same run.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, badRequest("malformed request body: "+err.Error()))
+	if httpErr := decodeBody(w, r, &req); httpErr != nil {
+		s.writeError(w, httpErr)
 		return
 	}
 	if httpErr := req.validate(); httpErr != nil {
@@ -859,10 +875,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // compile+profile through the process-wide benchmark profile cache.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var spec hybridpart.SweepSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		s.writeError(w, badRequest("malformed request body: "+err.Error()))
+	if httpErr := decodeBody(w, r, &spec); httpErr != nil {
+		s.writeError(w, httpErr)
 		return
 	}
 	if err := spec.Validate(); err != nil {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hybridpart"
+	"hybridpart/internal/apps"
 )
 
 // firSrc is a small FIR filter in the mini-C subset: cheap to compile and
@@ -1018,5 +1019,52 @@ func TestPartitionDefaultObjective(t *testing.T) {
 	}
 	if st.SimScoring.Scored == 0 || st.SimScoring.Replays == 0 {
 		t.Fatalf("sim scoring stats empty after sim-scored runs: %+v", st.SimScoring)
+	}
+}
+
+// TestBodyTooLarge: a body over maxBodyBytes is refused with 413 and the
+// usual JSON error on every JSON endpoint, before it is read in full, and
+// nothing is cached.
+func TestBodyTooLarge(t *testing.T) {
+	s := newTestServer(t, Config{})
+	big := `{"source": "` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, path := range []string{"/v1/partition", "/v1/partition-energy", "/v1/simulate", "/v1/sweep"} {
+		rec := post(t, s, path, big)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413", path, rec.Code)
+		}
+		var e ErrorJSON
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "exceeds") {
+			t.Fatalf("%s: error body %q (%v)", path, rec.Body.String(), err)
+		}
+	}
+	if st := s.CacheStats(); st.Size != 0 {
+		t.Fatalf("store holds %d entries after refused bodies, want 0", st.Size)
+	}
+}
+
+// TestInlineJPEGBodyUnderCap: the largest legitimate body — the inline JPEG
+// encoder plus its input image, about 250 KB — still decodes and runs.
+func TestInlineJPEGBodyUnderCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping the JPEG profiling run in -short mode")
+	}
+	src, err := apps.JPEGSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(PartitionRequest{
+		Source: src, Entry: apps.JPEGEntry, Objective: "model", Constraint: 21000000,
+		Inputs: map[string][]int32{apps.JPEGImageArray: hybridpart.JPEGImage(1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) < 200<<10 || len(body) > maxBodyBytes {
+		t.Fatalf("body is %d bytes, want a ~250 KB body under the %d-byte cap", len(body), maxBodyBytes)
+	}
+	s := newTestServer(t, Config{})
+	if rec := post(t, s, "/v1/partition", string(body)); rec.Code != http.StatusOK {
+		t.Fatalf("inline JPEG: status %d: %.300s", rec.Code, rec.Body.String())
 	}
 }

@@ -118,11 +118,11 @@ func max64(a, b int64) int64 {
 // reconstruction or a list-scheduling pass.
 //
 // Concurrency contract: a Replayer is safe for concurrent use. Every table is
-// immutable after NewReplayer returns, and the lazy schedule memo behind
-// CoarseLatency is mutex-guarded, so any number of goroutines may call
-// Simulate, Makespan, LowerBound, CoarseLatency, TransferTicks and WalkTrace
-// on one shared Replayer. The only per-goroutine state is the Arena: an Arena
-// must not be shared between concurrent calls — give each worker its own.
+// immutable after NewReplayer returns, and the lazy data-path schedule memo
+// is mutex-guarded, so any number of goroutines may call Simulate, Makespan,
+// ClosedForm, LowerBound and FineWalkBound on one shared Replayer. The only
+// per-goroutine state is the Arena: an Arena must not be shared between
+// concurrent calls — give each worker its own.
 type Replayer struct {
 	in     Input
 	trace  []ir.BlockID
@@ -153,6 +153,11 @@ type Replayer struct {
 	schedDone []bool
 	schedLat  []int64
 	schedErr  []error
+
+	// The trace as tandem repeats, split on the first ClosedForm call —
+	// replays walk the trace itself.
+	repeatsOnce sync.Once
+	repeats     []repeat
 }
 
 // NewReplayer validates the platform, reconstructs the canonical trace and
@@ -213,10 +218,10 @@ func (r *Replayer) Runs() int { return r.runs }
 // TraceLen returns the number of kernel invocations replayed per frame.
 func (r *Replayer) TraceLen() int { return len(r.trace) }
 
-// CoarseLatency returns block id's data-path latency in T_CGC cycles (the
+// coarseLatency returns block id's data-path latency in T_CGC cycles (the
 // same list schedule the partitioning engine uses), memoized across calls.
 // Safe for concurrent use.
-func (r *Replayer) CoarseLatency(id ir.BlockID) (int64, error) {
+func (r *Replayer) coarseLatency(id ir.BlockID) (int64, error) {
 	r.schedMu.Lock()
 	defer r.schedMu.Unlock()
 	if !r.schedDone[id] {
@@ -231,18 +236,9 @@ func (r *Replayer) CoarseLatency(id ir.BlockID) (int64, error) {
 	return r.schedLat[id], r.schedErr[id]
 }
 
-// WalkTrace calls fn for every kernel invocation of the canonical trace, in
-// replay order. Closed-form scorers use it to run reduced state machines
-// (e.g. the sequencer's loaded-partition walk) without the event engine.
-func (r *Replayer) WalkTrace(fn func(ir.BlockID)) {
-	for _, b := range r.trace {
-		fn(b)
-	}
-}
-
-// TransferTicks returns block id's per-invocation transfer-channel occupancy
+// transferTicks returns block id's per-invocation transfer-channel occupancy
 // in ticks when its live-in/out words stripe over the given port count.
-func (r *Replayer) TransferTicks(id ir.BlockID, ports int) int64 {
+func (r *Replayer) transferTicks(id ir.BlockID, ports int) int64 {
 	ratio := int64(r.in.Plat.Coarse.ClockRatio)
 	words := int64(r.liveIO[id].In + r.liveIO[id].Out)
 	perSlot := ceilDiv(words, int64(ports))
@@ -340,6 +336,21 @@ func (a *Arena) growRegions(regions int) {
 	}
 }
 
+// pack marks movedBlocks in the arena's moved mask and packs the
+// FPGA-resident rest exactly as the partitioning engine's t_FPGA evaluation
+// does — the fine-grain side every evaluator of a mapping starts from.
+func (r *Replayer) pack(movedBlocks []ir.BlockID, a *Arena) (*finegrain.PackedMapping, error) {
+	n := len(r.in.F.Blocks)
+	a.grow(n)
+	for _, b := range movedBlocks {
+		if int(b) < 0 || int(b) >= n {
+			return nil, fmt.Errorf("sim: moved block %d outside the function", b)
+		}
+		a.moved[b] = true
+	}
+	return finegrain.PackFunction(r.in.F, r.in.Plat.Fine, func(id ir.BlockID) bool { return !a.moved[id] })
+}
+
 // Simulate replays the trace against the mapping that moves the given blocks
 // to the coarse-grain data-path (nil simulates the all-FPGA mapping).
 func (r *Replayer) Simulate(ctx context.Context, cfg Config, movedBlocks []ir.BlockID) (*Report, error) {
@@ -384,6 +395,92 @@ func (r *Replayer) Makespan(ctx context.Context, cfg Config, movedBlocks []ir.Bl
 	return ceilDiv(ticks, int64(r.in.Plat.Coarse.ClockRatio)), nil
 }
 
+// ClosedForm returns the makespan Makespan reports for a single-frame,
+// no-prefetch replay of the given mapping, without the event engine. In that
+// regime no resource is ever ahead of program order — every invocation
+// window starts where the previous one ended — so the makespan is the sum of
+// per-invocation costs plus the sequencer's on-demand configuration loads:
+// the same additive structure that makes the simulator agree with the
+// analytical model cycle for cycle at the model's operating point. Only the
+// loads need the trace, and only the replay's loaded-partition state machine
+// runs over it, once or twice per tandem repeat of the trace rather than
+// once per entry. cfg must ask for one frame without prefetch. The arena is
+// per-goroutine scratch, as in Makespan; nil allocates a fresh one. Safe for
+// concurrent use with per-goroutine arenas.
+func (r *Replayer) ClosedForm(cfg Config, movedBlocks []ir.BlockID, a *Arena) (int64, error) {
+	if err := cfg.normalize(); err != nil {
+		return 0, err
+	}
+	if cfg.Frames != 1 || cfg.Prefetch {
+		return 0, fmt.Errorf("sim: the closed form covers one frame without prefetch, got frames=%d prefetch=%v", cfg.Frames, cfg.Prefetch)
+	}
+	if a == nil {
+		a = new(Arena)
+	}
+	pm, err := r.pack(movedBlocks, a)
+	if err != nil {
+		return 0, err
+	}
+	n, moved := len(a.moved), a.moved
+	ratio := int64(r.in.Plat.Coarse.ClockRatio)
+	var ticks int64
+	for id := 0; id < n; id++ {
+		freq := int64(r.in.Freq[id]) // BuildTrace guarantees len(Freq) >= n
+		if freq == 0 {
+			continue
+		}
+		if moved[id] {
+			lat, err := r.coarseLatency(ir.BlockID(id))
+			if err != nil {
+				return 0, err
+			}
+			ticks += freq * (lat + r.transferTicks(ir.BlockID(id), cfg.Ports))
+			continue
+		}
+		ticks += freq * pm.PerBlockCycles[id] * ratio
+	}
+
+	// The replay's sequencer rule: a partition loads only when its region
+	// (p % regions) holds something else, for entry and straddle needs
+	// alike — with one region every straddled boundary reloads.
+	regions := pm.Regions
+	firstPart, lastPart := pm.FirstPart, pm.LastPart
+	a.growRegions(regions)
+	loadedR := a.loadedR
+	if pm.NumPartitions == 0 {
+		loadedR[0] = 0 // nothing to configure
+	}
+	walk := func(seg []ir.BlockID) (loads int64) {
+		for _, b := range seg {
+			if moved[b] {
+				continue
+			}
+			for q := firstPart[b]; q <= lastPart[b]; q++ {
+				if reg := q % regions; loadedR[reg] != q {
+					loads++
+					loadedR[reg] = q
+				}
+			}
+		}
+		return loads
+	}
+	r.repeatsOnce.Do(func() { r.repeats = compressRepeats(r.trace, n) })
+	var loads int64
+	for _, rp := range r.repeats {
+		seg := r.trace[rp.start : rp.start+rp.length]
+		loads += walk(seg)
+		if rp.reps > 1 {
+			// After one pass every region the segment touches holds the
+			// last partition the segment needed there, whatever it held
+			// before, so every further pass starts from the same state and
+			// performs the same loads.
+			loads += int64(rp.reps-1) * walk(seg)
+		}
+	}
+	reconT := int64(r.in.Plat.Fine.RegionReconfigCycles()) * ratio
+	return ceilDiv(ticks+loads*reconT, ratio), nil
+}
+
 // LowerBound returns a cheap admissible lower bound, in FPGA cycles, on the
 // makespan Simulate/Makespan report for the mapping that moves the given
 // blocks under cfg. Each of the three resources — fine fabric, data-path,
@@ -424,14 +521,14 @@ func (r *Replayer) LowerBound(cfg Config, movedBlocks []ir.BlockID) (int64, erro
 		if freq == 0 {
 			continue
 		}
-		lat, err := r.CoarseLatency(b)
+		lat, err := r.coarseLatency(b)
 		if err != nil {
 			return 0, err
 		}
 		fine -= freq * r.minFineT[b]
 		areaRem -= r.blockArea[b]
 		coarse += freq * lat
-		mem += freq * r.TransferTicks(b, cfg.Ports)
+		mem += freq * r.transferTicks(b, cfg.Ports)
 	}
 	fineTotal := fine * frames
 	if areaRem > 0 {
@@ -512,19 +609,11 @@ func (r *Replayer) FineWalkBound(cfg Config, movedBlocks []ir.BlockID, a *Arena)
 	if a == nil {
 		a = new(Arena)
 	}
-	n := len(r.in.F.Blocks)
-	a.grow(n)
-	moved := a.moved
-	for _, b := range movedBlocks {
-		if int(b) < 0 || int(b) >= n {
-			return 0, fmt.Errorf("sim: moved block %d outside the function", b)
-		}
-		moved[b] = true
-	}
-	pm, err := finegrain.PackFunction(r.in.F, r.in.Plat.Fine, func(id ir.BlockID) bool { return !moved[id] })
+	pm, err := r.pack(movedBlocks, a)
 	if err != nil {
 		return 0, err
 	}
+	n, moved := len(a.moved), a.moved
 	ratio := int64(r.in.Plat.Coarse.ClockRatio)
 	reconT := int64(r.in.Plat.Fine.RegionReconfigCycles()) * ratio
 	regions := pm.Regions
@@ -534,12 +623,12 @@ func (r *Replayer) FineWalkBound(cfg Config, movedBlocks []ir.BlockID, a *Arena)
 	for id := 0; id < n; id++ {
 		b := ir.BlockID(id)
 		if moved[id] {
-			lat, err := r.CoarseLatency(b)
+			lat, err := r.coarseLatency(b)
 			if err != nil {
 				return 0, err
 			}
 			latT[id] = lat
-			txT[id] = r.TransferTicks(b, cfg.Ports)
+			txT[id] = r.transferTicks(b, cfg.Ports)
 			execT[id] = 0
 			continue
 		}
@@ -696,22 +785,11 @@ func (r *Replayer) FineWalkBound(cfg Config, movedBlocks []ir.BlockID, a *Arena)
 func (r *Replayer) replay(ctx context.Context, cfg Config, movedBlocks []ir.BlockID, a *Arena, rep *Report) (int64, error) {
 	in := r.in
 	f := in.F
-	n := len(f.Blocks)
-	a.grow(n)
-	moved := a.moved
-	for _, b := range movedBlocks {
-		if int(b) < 0 || int(b) >= n {
-			return 0, fmt.Errorf("sim: moved block %d outside the function", b)
-		}
-		moved[b] = true
-	}
-
-	// The fine-grain side: pack the FPGA-resident blocks exactly as the
-	// partitioning engine's t_FPGA evaluation does.
-	pm, err := finegrain.PackFunction(f, in.Plat.Fine, func(id ir.BlockID) bool { return !moved[id] })
+	pm, err := r.pack(movedBlocks, a)
 	if err != nil {
 		return 0, err
 	}
+	n, moved := len(a.moved), a.moved
 
 	// The coarse-grain side: per-kernel data-path latency (T_CGC cycles)
 	// from the same list schedule the engine used, and per-invocation
@@ -724,12 +802,12 @@ func (r *Replayer) replay(ctx context.Context, cfg Config, movedBlocks []ir.Bloc
 	for id := 0; id < n; id++ {
 		b := ir.BlockID(id)
 		if moved[id] {
-			lat, err := r.CoarseLatency(b)
+			lat, err := r.coarseLatency(b)
 			if err != nil {
 				return 0, err
 			}
 			latT[id] = lat
-			txT[id] = r.TransferTicks(b, cfg.Ports)
+			txT[id] = r.transferTicks(b, cfg.Ports)
 			execT[id] = 0
 			continue
 		}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"sync"
@@ -419,7 +420,7 @@ func TestReplayerMatchesSimulate(t *testing.T) {
 	// Replayer.
 	movedSets := [][]ir.BlockID{nil}
 	for id := range flat.Blocks {
-		if _, err := r.CoarseLatency(ir.BlockID(id)); err == nil {
+		if _, err := r.coarseLatency(ir.BlockID(id)); err == nil {
 			movedSets = append(movedSets, []ir.BlockID{ir.BlockID(id)})
 		}
 	}
@@ -440,13 +441,15 @@ func TestReplayerMatchesSimulate(t *testing.T) {
 			t.Fatalf("moved=%v: replayer diverges from one-shot Simulate:\n%+v\nvs\n%+v", moved, reused, oneShot)
 		}
 	}
-	// WalkTrace covers the whole trace in order: visit counts must match
-	// the profile.
+	// The trace covers the profile exactly: visit counts must match it
+	// (the closed form's per-block cost sums rely on this).
 	seen := make([]uint64, len(flat.Blocks))
-	r.WalkTrace(func(b ir.BlockID) { seen[b]++ })
+	for _, b := range r.trace {
+		seen[b]++
+	}
 	for id, n := range seen {
 		if n != freq[id] {
-			t.Fatalf("WalkTrace visits block %d %d times, profiled %d", id, n, freq[id])
+			t.Fatalf("trace visits block %d %d times, profiled %d", id, n, freq[id])
 		}
 	}
 }
@@ -465,7 +468,7 @@ func TestMakespanMatchesSimulate(t *testing.T) {
 	}
 	movedSets := [][]ir.BlockID{nil}
 	for id := range flat.Blocks {
-		if _, err := r.CoarseLatency(ir.BlockID(id)); err == nil {
+		if _, err := r.coarseLatency(ir.BlockID(id)); err == nil {
 			movedSets = append(movedSets, []ir.BlockID{ir.BlockID(id)})
 		}
 	}
@@ -503,53 +506,32 @@ func TestMakespanMatchesSimulate(t *testing.T) {
 // every moved set (empty, singletons, and all mappable pairs) under every
 // region/frame/port/prefetch combination, neither LowerBound nor the
 // tighter FineWalkBound ever exceeds the replayed makespan. One
-// overestimate would let the scorer prune a true argmin. The regions axis
-// also pins the monolithic identity: Regions=1 replays byte-identically to
-// the legacy single-context model (Regions unset).
+// overestimate would let the scorer prune a true argmin. The same sweep pins
+// the closed form to the replay it mirrors — equal cycle for cycle at one
+// frame without prefetch, refused elsewhere — and the monolithic identity:
+// Regions=1 replays byte-identically to the legacy single-context model
+// (Regions unset).
 func TestLowerBoundAdmissible(t *testing.T) {
-	for _, src := range []struct {
-		name, src, entry string
-		area             int
-	}{
-		{"three-stage", threeStageSrc, "main_fn", 320},
-		{"div", divSrc, "main_fn", 260},
-	} {
-		t.Run(src.name, func(t *testing.T) {
-			prog, flat, freq, edges := prep(t, src.src, src.entry, 1)
-			legacy, err := NewReplayer(Input{Prog: prog, F: flat, Plat: smallPlat(src.area), Freq: freq, Edges: edges})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, regions := range []int{1, 2, 4} {
-				// Scale total area with the region count so the per-region
-				// area — what packing sees — stays fixed across the sweep
-				// and R only changes the residency dynamics.
-				plat := smallPlat(src.area * regions)
-				plat.Fine.Regions = regions
-				in := Input{Prog: prog, F: flat, Plat: plat, Freq: freq, Edges: edges}
-				r, err := NewReplayer(in)
+	cases := regionCases(t)
+	for _, fixture := range []string{"three-stage", "div"} {
+		t.Run(fixture, func(t *testing.T) {
+			for _, c := range cases {
+				if c.name != fixture {
+					continue
+				}
+				r, regions := c.r, c.regions
+				legacyIn := r.in
+				legacyIn.Plat.Fine.Regions = 0
+				legacy, err := NewReplayer(legacyIn)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var mappable []ir.BlockID
-				for id := range flat.Blocks {
-					if _, err := r.CoarseLatency(ir.BlockID(id)); err == nil {
-						mappable = append(mappable, ir.BlockID(id))
-					}
-				}
-				movedSets := [][]ir.BlockID{nil}
-				for i, a := range mappable {
-					movedSets = append(movedSets, []ir.BlockID{a})
-					for _, b := range mappable[i+1:] {
-						movedSets = append(movedSets, []ir.BlockID{a, b})
-					}
-				}
 				var arena Arena
 				for _, frames := range []int{1, 4} {
-					for _, ports := range []int{1, 2} {
+					for _, ports := range []int{1, 2, 4} {
 						for _, prefetch := range []bool{false, true} {
 							cfg := Config{Frames: frames, Ports: ports, Prefetch: prefetch}
-							for _, moved := range movedSets {
+							for _, moved := range c.movedSets {
 								bound, err := r.LowerBound(cfg, moved)
 								if err != nil {
 									t.Fatalf("moved=%v: %v", moved, err)
@@ -569,6 +551,15 @@ func TestLowerBoundAdmissible(t *testing.T) {
 								if walk > full {
 									t.Fatalf("regions=%d frames=%d ports=%d prefetch=%v moved=%v: fine-walk bound %d exceeds makespan %d",
 										regions, frames, ports, prefetch, moved, walk, full)
+								}
+								cf, err := r.ClosedForm(cfg, moved, &arena)
+								if frames > 1 || prefetch {
+									if err == nil {
+										t.Fatalf("frames=%d prefetch=%v: closed form accepted a config outside its regime", frames, prefetch)
+									}
+								} else if err != nil || cf != full {
+									t.Fatalf("regions=%d ports=%d moved=%v: closed form %d (%v), makespan %d",
+										regions, ports, moved, cf, err, full)
 								}
 								if regions == 1 {
 									want, err := legacy.Makespan(context.Background(), cfg, moved, nil)
@@ -591,9 +582,10 @@ func TestLowerBoundAdmissible(t *testing.T) {
 
 // TestReplayerConcurrentUse is the race-detector pin for the documented
 // concurrency contract: one Replayer, 16 goroutines, each hammering the
-// full read API — Simulate, Makespan (with its own Arena), LowerBound,
-// CoarseLatency, TransferTicks and WalkTrace — while asserting every
-// result equals the serially computed golden value. Run under -race in CI.
+// replay API — Simulate, Makespan (with its own Arena), LowerBound and the
+// lazy schedule memo — while asserting every result equals the serially
+// computed golden value. TestClosedFormConcurrentUse covers the closed form.
+// Run under -race in CI.
 func TestReplayerConcurrentUse(t *testing.T) {
 	prog, flat, freq, edges := prep(t, threeStageSrc, "main_fn", 1)
 	in := Input{Prog: prog, F: flat, Plat: smallPlat(320), Freq: freq, Edges: edges}
@@ -603,7 +595,7 @@ func TestReplayerConcurrentUse(t *testing.T) {
 	}
 	var moved []ir.BlockID
 	for id := range flat.Blocks {
-		if _, err := r.CoarseLatency(ir.BlockID(id)); err == nil {
+		if _, err := r.coarseLatency(ir.BlockID(id)); err == nil {
 			moved = append(moved, ir.BlockID(id))
 			if len(moved) == 2 {
 				break
@@ -619,11 +611,10 @@ func TestReplayerConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	goldenLat, err := r.CoarseLatency(moved[0])
+	goldenLat, err := r.coarseLatency(moved[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	goldenTx := r.TransferTicks(moved[0], cfg.Ports)
 
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -661,23 +652,13 @@ func TestReplayerConcurrentUse(t *testing.T) {
 					errs <- fmt.Errorf("concurrent LowerBound: %d != %d", b, goldenBound)
 					return
 				}
-				lat, err := r.CoarseLatency(moved[0])
+				lat, err := r.coarseLatency(moved[0])
 				if err != nil {
 					errs <- err
 					return
 				}
 				if lat != goldenLat {
-					errs <- fmt.Errorf("concurrent CoarseLatency: %d != %d", lat, goldenLat)
-					return
-				}
-				if tx := r.TransferTicks(moved[0], cfg.Ports); tx != goldenTx {
-					errs <- fmt.Errorf("concurrent TransferTicks: %d != %d", tx, goldenTx)
-					return
-				}
-				n := 0
-				r.WalkTrace(func(ir.BlockID) { n++ })
-				if n != r.TraceLen() {
-					errs <- fmt.Errorf("concurrent WalkTrace visited %d, want %d", n, r.TraceLen())
+					errs <- fmt.Errorf("concurrent coarseLatency: %d != %d", lat, goldenLat)
 					return
 				}
 			}
@@ -688,4 +669,157 @@ func TestReplayerConcurrentUse(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// regionCase is one Replayer of the region sweep plus every mappable moved
+// set of at most two kernels (and the empty mapping).
+type regionCase struct {
+	name      string
+	regions   int
+	r         *Replayer
+	movedSets [][]ir.BlockID
+}
+
+// regionCases builds the region sweep: both fixtures at Regions ∈ {1, 2, 4},
+// with the total area scaled by the region count so the per-region area —
+// what packing sees — stays fixed and R only changes the residency
+// dynamics.
+func regionCases(t *testing.T) []regionCase {
+	t.Helper()
+	var cases []regionCase
+	for _, src := range []struct {
+		name, src string
+		area      int
+	}{
+		{"three-stage", threeStageSrc, 320},
+		{"div", divSrc, 260},
+	} {
+		prog, flat, freq, edges := prep(t, src.src, "main_fn", 1)
+		for _, regions := range []int{1, 2, 4} {
+			plat := smallPlat(src.area * regions)
+			plat.Fine.Regions = regions
+			r, err := NewReplayer(Input{Prog: prog, F: flat, Plat: plat, Freq: freq, Edges: edges})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mappable []ir.BlockID
+			for id := range flat.Blocks {
+				if _, err := r.coarseLatency(ir.BlockID(id)); err == nil {
+					mappable = append(mappable, ir.BlockID(id))
+				}
+			}
+			movedSets := [][]ir.BlockID{nil}
+			for i, a := range mappable {
+				movedSets = append(movedSets, []ir.BlockID{a})
+				for _, b := range mappable[i+1:] {
+					movedSets = append(movedSets, []ir.BlockID{a, b})
+				}
+			}
+			cases = append(cases, regionCase{src.name, regions, r, movedSets})
+		}
+	}
+	return cases
+}
+
+// TestClosedFormConcurrentUse is the race-detector pin for the closed form:
+// goroutines share one Replayer, each with its own Arena, and every result
+// must equal the serially computed one — across both fixtures, Regions ∈
+// {1, 2, 4} and ports ∈ {1, 2, 4}. Run under -race in CI.
+func TestClosedFormConcurrentUse(t *testing.T) {
+	t.Parallel()
+	for _, c := range regionCases(t) {
+		for _, ports := range []int{1, 2, 4} {
+			cfg := Config{Frames: 1, Ports: ports}
+			golden := make([]int64, len(c.movedSets))
+			for i, moved := range c.movedSets {
+				v, err := c.r.ClosedForm(cfg, moved, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				golden[i] = v
+			}
+			const goroutines = 8
+			var wg sync.WaitGroup
+			errs := make(chan error, goroutines)
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					var arena Arena // per-goroutine, per the contract
+					// Each goroutine starts at a different moved set so the
+					// shared Replayer sees interleaved mappings.
+					for k := range c.movedSets {
+						i := (k + g) % len(c.movedSets)
+						v, err := c.r.ClosedForm(cfg, c.movedSets[i], &arena)
+						if err != nil {
+							errs <- err
+							return
+						}
+						if v != golden[i] {
+							errs <- fmt.Errorf("%s regions=%d ports=%d moved=%v: concurrent closed form %d != serial %d",
+								c.name, c.regions, ports, c.movedSets[i], v, golden[i])
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestCompressRepeatsExpandsToTrace: the tandem-repeat split covers the
+// trace exactly — expanding every repeat in order rebuilds it entry for
+// entry — on the fixtures' traces, on random traces over small alphabets
+// (dense accidental repeats), and on a trace built to exhaust the
+// comparison budget.
+func TestCompressRepeatsExpandsToTrace(t *testing.T) {
+	check := func(name string, trace []ir.BlockID, nBlocks int) {
+		t.Helper()
+		var got []ir.BlockID
+		for _, rp := range compressRepeats(trace, nBlocks) {
+			if rp.length <= 0 || rp.reps <= 0 {
+				t.Fatalf("%s: degenerate repeat %+v", name, rp)
+			}
+			for k := 0; k < rp.reps; k++ {
+				got = append(got, trace[rp.start:rp.start+rp.length]...)
+			}
+		}
+		if !reflect.DeepEqual(got, trace) && len(got)+len(trace) > 0 {
+			t.Fatalf("%s: repeats expand to %d entries that differ from the %d-entry trace", name, len(got), len(trace))
+		}
+	}
+	for _, src := range []string{threeStageSrc, divSrc} {
+		prog, flat, freq, edges := prep(t, src, "main_fn", 1)
+		r, err := NewReplayer(Input{Prog: prog, F: flat, Plat: smallPlat(320), Freq: freq, Edges: edges})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("fixture", r.trace, len(flat.Blocks))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		nBlocks := 1 + rng.Intn(4)
+		trace := make([]ir.BlockID, rng.Intn(300))
+		for j := range trace {
+			trace[j] = ir.BlockID(rng.Intn(nBlocks))
+		}
+		check(fmt.Sprintf("random %d", i), trace, nBlocks)
+	}
+	// Periods of 0 1 2 ... 50 X, X drawn at random from three blocks: every
+	// entry recurs one period later and the period check fails only at the
+	// next X, about 25 comparisons per entry, so the budget runs out part
+	// way through.
+	var hostile []ir.BlockID
+	for len(hostile) < 20000 {
+		for k := 0; k <= 50; k++ {
+			hostile = append(hostile, ir.BlockID(k))
+		}
+		hostile = append(hostile, ir.BlockID(51+rng.Intn(3)))
+	}
+	check("hostile", hostile, 54)
 }

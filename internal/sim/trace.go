@@ -155,3 +155,73 @@ func BuildTrace(f *ir.Function, freq []uint64, edges []finegrain.EdgeFreq) (trac
 	}
 	return trace, runs, nil
 }
+
+// repeat is one stretch of the canonical trace: the segment
+// trace[start:start+length], executed reps times back to back.
+type repeat struct {
+	start, length, reps int
+}
+
+// compressRepeats splits the trace into tandem repeats. Hierholzer's
+// smallest-successor-first walk spins each loop until its back edge is
+// exhausted, so loop bodies come out as long runs of one segment: JPEG's
+// 1.2M-entry trace is 41 repeats whose segments total under a thousand
+// entries. At each position the candidate period is the distance to the
+// block's next occurrence; the segment repeats while the following copies
+// match it, and positions that start no repeat accumulate into a literal
+// stretch (reps 1). Periods are capped at maxPeriod so the next-occurrence
+// table takes one byte per entry, a quarter of the trace's own size; longer
+// ones stay literal. Failed period checks are capped at a few passes over
+// the trace in total, past which the rest is one literal stretch, so the
+// split stays linear on any trace.
+func compressRepeats(trace []ir.BlockID, nBlocks int) []repeat {
+	const maxPeriod = 255
+	n := len(trace)
+	next := make([]uint8, n) // distance to trace[i]'s next occurrence, 0 = none within maxPeriod
+	seen := make([]int, nBlocks)
+	for i := range seen {
+		seen[i] = -1
+	}
+	for i := n - 1; i >= 0; i-- {
+		if j := seen[trace[i]]; j >= 0 && j-i <= maxPeriod {
+			next[i] = uint8(j - i)
+		}
+		seen[trace[i]] = i
+	}
+	// matched is the length of the common prefix of trace[a:a+length] and
+	// trace[b:b+length].
+	matched := func(a, b, length int) int {
+		k := 0
+		for k < length && trace[a+k] == trace[b+k] {
+			k++
+		}
+		return k
+	}
+	var out []repeat
+	budget := 4 * n // element comparisons allowed for failed period checks
+	lit := 0        // start of the pending literal stretch
+	for i := 0; i < n && budget > 0; i++ {
+		p := int(next[i])
+		if p == 0 || i+2*p > n {
+			continue
+		}
+		if m := matched(i, i+p, p); m < p {
+			budget -= m + 1
+			continue
+		}
+		reps := 2
+		for i+(reps+1)*p <= n && matched(i, i+reps*p, p) == p {
+			reps++
+		}
+		if lit < i {
+			out = append(out, repeat{lit, i - lit, 1})
+		}
+		out = append(out, repeat{i, p, reps})
+		i += reps*p - 1
+		lit = i + 1
+	}
+	if lit < n {
+		out = append(out, repeat{lit, n - lit, 1})
+	}
+	return out
+}

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hybridpart/internal/finegrain"
 	"hybridpart/internal/ir"
 	"hybridpart/internal/obs"
 	"hybridpart/internal/partition"
@@ -37,20 +36,20 @@ func ParseObjective(s string) (Objective, error) { return partition.ParseObjecti
 // SimScoreStats breaks down how a simulation-scored partitioning run paid
 // for its candidate evaluations. Scored counts distinct mappings; every
 // further request for one of them is a memo hit. Of the distinct mappings,
-// Replays went through the full discrete-event engine, ClosedForm through
-// the additive single-frame fast path (an O(trace) reconfiguration walk, no
-// event bookkeeping), and Incremental through the delta update that skips
-// even the walk when the moved kernel's fabric reassignment provably leaves
-// the crossing set unchanged. Pruned counts candidates the branch-and-bound
-// argmin pass skipped because their admissible lower bound already exceeded
-// a fully scored incumbent; Parallel counts candidates scored on worker-pool
-// goroutines and Workers records the pool width. Pruned and Parallel depend
-// on evaluation scheduling and may vary run to run — the chosen mapping
-// never does.
+// Replays went through the full discrete-event engine and ClosedForm through
+// the additive single-frame fast path (sim.Replayer.ClosedForm: a
+// reconfiguration walk, no event bookkeeping). Pruned counts candidates the
+// branch-and-bound argmin pass skipped because their admissible lower bound
+// already exceeded a fully scored incumbent; Parallel counts candidates
+// scored on worker-pool goroutines and Workers records the pool width.
+// Pruned and Parallel depend on evaluation scheduling and may vary run to
+// run — the chosen mapping never does.
 type SimScoreStats struct {
-	Scored      int `json:"scored"`
-	Replays     int `json:"replays"`
-	ClosedForm  int `json:"closed_form"`
+	Scored     int `json:"scored"`
+	Replays    int `json:"replays"`
+	ClosedForm int `json:"closed_form"`
+	// Deprecated: the incremental delta tier is gone and Incremental is
+	// always 0. The field stays so existing readers keep compiling.
 	Incremental int `json:"incremental"`
 	MemoHits    int `json:"memo_hits"`
 	Pruned      int `json:"pruned"`
@@ -58,22 +57,21 @@ type SimScoreStats struct {
 	Workers     int `json:"workers"`
 }
 
-// debugDisableSimFastPath forces every candidate through the full
-// discrete-event replay. Test hook: the property suite flips it to pin the
-// fast paths to the replay cycle for cycle.
-var debugDisableSimFastPath = false
+// scoringMode selects how a simScorer evaluates candidates. Only the
+// zero value is reachable from the public API; the other two are reference
+// paths that same-package tests and benchmarks set on an Engine.
+type scoringMode int
 
-// debugSerialScoring restores the PR 5 scoring path: no batch argmin, no
-// lower-bound pruning, no arena reuse — every candidate goes through the
-// one-at-a-time SimCost loop with a full-report replay. Test/benchmark hook:
-// the equivalence suite uses it as the reference and BenchmarkObjectiveParallel
-// as the baseline.
-var debugSerialScoring = false
-
-// debugDisablePruning keeps the batch path (pool, arenas, evaluation order)
-// but scores every candidate instead of pruning. Test hook: the
-// admissibility property compares a pruned run against it.
-var debugDisablePruning = false
+const (
+	// scoreLive is the production path: memo, then the closed form or the
+	// bounded, pruned replay on the worker pool.
+	scoreLive scoringMode = iota
+	// scoreSerial is the reference: a full-report Simulate per candidate in
+	// slate order — no closed form, no pruning, no arena reuse.
+	scoreSerial
+	// scoreUnpruned is the live path with branch-and-bound pruning off.
+	scoreUnpruned
+)
 
 // simSpecOf materializes the engine-level co-simulation knobs.
 func simSpecOf(o Options) SimSpec {
@@ -88,40 +86,24 @@ func simKnobsActive(o Options) bool {
 		o.SimFrames > 0 || o.SimPorts > 0 || o.SimPrefetch
 }
 
-// scoredMapping is the incremental-evaluation state of the last scored
-// candidate: its packing, makespan and per-block entry-load counts.
-type scoredMapping struct {
-	moved      []ir.BlockID
-	pm         *finegrain.PackedMapping
-	entryLoads []int64
-	ticks      int64
-}
-
 // simScorer scores candidate mappings by simulated makespan for the move
-// loop. It memoizes everything mapping-independent once (canonical trace,
-// live-in/out footprints, data-path schedules, the all-FPGA baseline) and
-// every scored mapping forever, so a trajectory walk plus a re-rank pass
-// plus the final report never replay the same mapping twice. Single-frame
-// no-prefetch candidates take the additive closed form instead of the event
-// engine, and consecutive trajectory prefixes whose move leaves the crossing
-// set unchanged take a pure delta update. Score serializes on the scorer's
-// lock; ScoreBatch scores replay-regime slates on a bounded worker pool
-// (workers wide, 0 = GOMAXPROCS) with per-worker arenas and branch-and-bound
-// pruning, so a simScorer is safe for concurrent use — but build one per
-// partitioning run, its memo is per-(workload, knob) tuple.
+// loop. The Replayer holds everything mapping-independent (canonical trace,
+// live-in/out footprints, data-path schedules); the scorer memoizes every
+// scored mapping, so a trajectory walk plus a re-rank pass plus the final
+// report never score the same mapping twice. Single-frame no-prefetch
+// candidates take the Replayer's closed form instead of the event engine.
+// ScoreBatch scores a slate on a bounded worker pool (workers wide, 0 =
+// GOMAXPROCS) with per-worker arenas, so a simScorer is safe for concurrent
+// use — but build one per partitioning run, its memo is per-(workload, knob)
+// tuple.
 type simScorer struct {
 	rep     *sim.Replayer
 	cfg     sim.Config
-	plat    platform.Platform
-	f       *ir.Function
-	freq    []uint64
-	ratio   int64
 	workers int
+	mode    scoringMode
 
 	mu    sync.Mutex
-	arena sim.Arena
 	memo  map[string]int64
-	last  *scoredMapping
 	stats SimScoreStats
 }
 
@@ -142,13 +124,9 @@ func newSimScorer(a *App, p *RunProfile, plat platform.Platform, spec SimSpec) (
 		return nil, err
 	}
 	return &simScorer{
-		rep:   rep,
-		cfg:   sim.Config{Frames: spec.Frames, Ports: spec.Ports, Prefetch: spec.Prefetch},
-		plat:  plat,
-		f:     a.flat,
-		freq:  p.Freq,
-		ratio: int64(plat.Coarse.ClockRatio),
-		memo:  map[string]int64{},
+		rep:  rep,
+		cfg:  sim.Config{Frames: spec.Frames, Ports: spec.Ports, Prefetch: spec.Prefetch},
+		memo: map[string]int64{},
 	}, nil
 }
 
@@ -166,88 +144,87 @@ func movedKey(moved []ir.BlockID) string {
 	return sb.String()
 }
 
-// Score returns the simulated makespan (FPGA cycles) of the mapping that
-// moves the given blocks to the coarse-grain data-path. It has the
-// partition.Config.SimCost signature. Calls serialize on the scorer's lock.
-func (s *simScorer) Score(ctx context.Context, moved []ir.BlockID) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := movedKey(moved)
-	if v, ok := s.memo[key]; ok {
-		s.stats.MemoHits++
-		return v, nil
-	}
-	v, err := s.score(ctx, moved)
-	if err != nil {
-		return 0, err
-	}
-	s.stats.Scored++
-	s.memo[key] = v
-	return v, nil
+// closedFormRegime reports whether candidates take the closed form instead
+// of the event engine: one frame, no prefetch, and not the serial reference.
+func (s *simScorer) closedFormRegime() bool {
+	return s.cfg.Frames == 1 && !s.cfg.Prefetch && s.mode != scoreSerial
 }
 
-// score evaluates one unmemoized mapping. Callers hold s.mu.
-func (s *simScorer) score(ctx context.Context, moved []ir.BlockID) (int64, error) {
-	if s.fastRegime() {
-		return s.closedForm(moved)
-	}
-	if debugSerialScoring {
-		// The PR 5 path: a full-report replay per candidate.
+// eval scores one mapping in the scorer's regime. a is the caller's
+// per-goroutine arena (nil allocates one).
+func (s *simScorer) eval(ctx context.Context, moved []ir.BlockID, a *sim.Arena) (int64, error) {
+	switch {
+	case s.mode == scoreSerial:
 		rep, err := s.rep.Simulate(ctx, s.cfg, moved)
 		if err != nil {
 			return 0, err
 		}
-		s.stats.Replays++
 		return rep.TotalCycles, nil
+	case s.closedFormRegime():
+		return s.rep.ClosedForm(s.cfg, moved, a)
+	default:
+		return s.rep.Makespan(ctx, s.cfg, moved, a)
 	}
-	v, err := s.rep.Makespan(ctx, s.cfg, moved, &s.arena)
+}
+
+// record memoizes one freshly scored mapping and counts it. Callers hold
+// s.mu.
+func (s *simScorer) record(key string, v int64, parallel bool) {
+	s.memo[key] = v
+	s.stats.Scored++
+	if s.closedFormRegime() {
+		s.stats.ClosedForm++
+	} else {
+		s.stats.Replays++
+	}
+	if parallel {
+		s.stats.Parallel++
+	}
+}
+
+// Score returns the simulated makespan (FPGA cycles) of the mapping that
+// moves the given blocks to the coarse-grain data-path. The engine uses it
+// to report the chosen mapping and the all-FPGA baseline, which the argmin
+// pass has usually memoized already. Calls serialize on the scorer's lock.
+func (s *simScorer) Score(ctx context.Context, moved []ir.BlockID) (int64, error) {
+	key := movedKey(moved)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if v, ok := s.memo[key]; ok {
+		s.stats.MemoHits++
+		return v, nil
+	}
+	v, err := s.eval(ctx, moved, nil)
 	if err != nil {
 		return 0, err
 	}
-	s.stats.Replays++
+	s.record(key, v, false)
 	return v, nil
-}
-
-// fastRegime reports whether candidates take the additive closed form
-// instead of the event engine.
-func (s *simScorer) fastRegime() bool {
-	return s.cfg.Frames == 1 && !s.cfg.Prefetch && !debugDisableSimFastPath
 }
 
 // ScoreBatch scores a whole candidate slate for the argmin pass. It has the
 // partition.Config.SimCostBatch signature.
 //
-// In the closed-form regime candidates evaluate serially in slate order —
-// that order is what feeds the incremental delta tier, and the closed form
-// is already cheaper than a lower bound plus scheduling. In the replay
-// regime the slate goes through best-first branch-and-bound: every
-// candidate's admissible lower bound (sim.Replayer.LowerBound) is computed
-// up front, candidates replay in ascending-bound order (ties on slate
-// index) across the worker pool, and any candidate whose bound strictly
-// exceeds the incumbent best makespan is pruned without replaying. Pruning
-// and parallel scheduling never change the selection: scored makespans are
-// exact and deterministic, and a pruned candidate is provably strictly
-// worse than the incumbent, so it can never be the index-ordered argmin —
-// only the Pruned/Parallel counters vary with scheduling.
+// Memo hits resolve first; the rest score on the worker pool, each worker
+// with its own arena. In the replay regime the slate goes through best-first
+// branch-and-bound: every candidate's admissible lower bound
+// (sim.Replayer.LowerBound and FineWalkBound) is computed up front,
+// candidates replay in ascending-bound order (ties on slate index), and any
+// candidate whose bound strictly exceeds the incumbent best makespan is
+// pruned without replaying. The closed form is already cheaper than a fine
+// walk bound, so closed-form slates score every candidate in slate order.
+// Neither pruning nor parallel scheduling changes the selection: scored
+// makespans are exact and deterministic, and a pruned candidate is provably
+// strictly worse than the incumbent, so it can never be the index-ordered
+// argmin — only the Pruned/Parallel counters vary with scheduling.
 func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) ([]partition.SimScore, error) {
 	out := make([]partition.SimScore, len(candidates))
-	ctx, span := obs.Start(ctx, "sim.ScoreBatch", obs.Int("candidates", len(candidates)))
-	if s.fastRegime() {
-		for i, moved := range candidates {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			v, err := s.Score(ctx, moved)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = partition.SimScore{Cycles: v}
-		}
-		span.Set(obs.Int("scored", len(candidates)), obs.Int("pruned", 0),
-			obs.Int("workers", 1), obs.String("regime", "closed-form"))
-		span.End()
-		return out, nil
+	closedForm := s.closedFormRegime()
+	regime := "replay"
+	if closedForm {
+		regime = "closed-form"
 	}
+	ctx, span := obs.Start(ctx, "sim.ScoreBatch", obs.Int("candidates", len(candidates)))
 
 	// Memo hits resolve immediately and seed the incumbent: every memoized
 	// value is the exact makespan of a candidate in this slate.
@@ -267,11 +244,10 @@ func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) (
 		}
 		pending = append(pending, i)
 	}
-	workers := s.workers
 	s.mu.Unlock()
 	if len(pending) == 0 {
 		span.Set(obs.Int("scored", 0), obs.Int("pruned", 0),
-			obs.Int("memo_hits", len(candidates)), obs.String("regime", "replay"))
+			obs.Int("memo_hits", len(candidates)), obs.String("regime", regime))
 		span.End()
 		return out, nil
 	}
@@ -283,105 +259,92 @@ func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) (
 	// (O(trace), still far below a full replay) — the walk is exact on
 	// fine-dominated candidates, so once the incumbent is near the optimum
 	// almost every other candidate's bound exceeds it.
-	bounds := make([]int64, len(candidates))
-	for _, i := range pending {
-		b, err := s.rep.LowerBound(s.cfg, candidates[i])
-		if err != nil {
-			return nil, err
+	prune := s.mode == scoreLive && !closedForm
+	var bounds []int64
+	if prune {
+		bounds = make([]int64, len(candidates))
+		var arena sim.Arena
+		for _, i := range pending {
+			b, err := s.rep.LowerBound(s.cfg, candidates[i])
+			if err != nil {
+				return nil, err
+			}
+			if wb, err := s.rep.FineWalkBound(s.cfg, candidates[i], &arena); err != nil {
+				return nil, err
+			} else if wb > b {
+				b = wb
+			}
+			bounds[i] = b
 		}
-		if wb, err := s.rep.FineWalkBound(s.cfg, candidates[i], &s.arena); err != nil {
-			return nil, err
-		} else if wb > b {
-			b = wb
-		}
-		bounds[i] = b
+		sort.SliceStable(pending, func(a, b int) bool { return bounds[pending[a]] < bounds[pending[b]] })
 	}
-	sort.SliceStable(pending, func(a, b int) bool { return bounds[pending[a]] < bounds[pending[b]] })
 
+	workers := s.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(pending) {
-		workers = len(pending)
+	if s.mode == scoreSerial {
+		workers = 1
 	}
+	workers = min(workers, len(pending))
+	parallel := workers > 1
 
 	var best atomic.Int64
 	best.Store(incumbent)
 	var pruned atomic.Int64
-	// evalOne replays candidate i (unless its bound prunes it) into out[i].
-	evalOne := func(ctx context.Context, i int, arena *sim.Arena, parallel bool) error {
-		if !debugDisablePruning && bounds[i] > best.Load() {
-			out[i] = partition.SimScore{Pruned: true}
-			pruned.Add(1)
-			return nil
-		}
-		v, err := s.rep.Makespan(ctx, s.cfg, candidates[i], arena)
-		if err != nil {
-			return err
-		}
-		for {
-			cur := best.Load()
-			if v >= cur || best.CompareAndSwap(cur, v) {
-				break
-			}
-		}
-		s.mu.Lock()
-		s.stats.Scored++
-		s.stats.Replays++
-		if parallel {
-			s.stats.Parallel++
-		}
-		s.memo[keys[i]] = v
-		s.mu.Unlock()
-		out[i] = partition.SimScore{Cycles: v}
-		return nil
+	poolCtx, cancel := context.WithCancel(ctx)
+	var (
+		next    atomic.Int64
+		wg      sync.WaitGroup
+		errOnce sync.Once
+		err     error
+	)
+	fail := func(e error) {
+		errOnce.Do(func() {
+			err = e
+			cancel()
+		})
 	}
-
-	var err error
-	if workers <= 1 {
-		for _, i := range pending {
-			if err = ctx.Err(); err != nil {
-				break
-			}
-			if err = evalOne(ctx, i, &s.arena, false); err != nil {
-				break
-			}
-		}
-	} else {
-		poolCtx, cancel := context.WithCancel(ctx)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		var errOnce sync.Once
-		fail := func(e error) {
-			errOnce.Do(func() {
-				err = e
-				cancel()
-			})
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var arena sim.Arena
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var arena sim.Arena
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= len(pending) {
+					return
+				}
+				if e := poolCtx.Err(); e != nil {
+					fail(e)
+					return
+				}
+				i := pending[k]
+				if prune && bounds[i] > best.Load() {
+					out[i] = partition.SimScore{Pruned: true}
+					pruned.Add(1)
+					continue
+				}
+				v, e := s.eval(poolCtx, candidates[i], &arena)
+				if e != nil {
+					fail(e)
+					return
+				}
 				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(pending) {
-						return
-					}
-					if e := poolCtx.Err(); e != nil {
-						fail(e)
-						return
-					}
-					if e := evalOne(poolCtx, pending[k], &arena, true); e != nil {
-						fail(e)
-						return
+					cur := best.Load()
+					if v >= cur || best.CompareAndSwap(cur, v) {
+						break
 					}
 				}
-			}()
-		}
-		wg.Wait()
-		cancel()
+				s.mu.Lock()
+				s.record(keys[i], v, parallel)
+				s.mu.Unlock()
+				out[i] = partition.SimScore{Cycles: v}
+			}
+		}()
 	}
+	wg.Wait()
+	cancel()
 	if err == nil {
 		err = ctx.Err()
 	}
@@ -394,178 +357,7 @@ func (s *simScorer) ScoreBatch(ctx context.Context, candidates [][]ir.BlockID) (
 	s.mu.Unlock()
 	span.Set(obs.Int("scored", len(pending)-int(pruned.Load())), obs.Int("pruned", int(pruned.Load())),
 		obs.Int("memo_hits", len(candidates)-len(pending)), obs.Int("workers", workers),
-		obs.String("regime", "replay"))
+		obs.String("regime", regime))
 	span.End()
 	return out, nil
 }
-
-// closedForm scores a single-frame no-prefetch candidate without the event
-// engine: in that regime every invocation window chains sequentially (no
-// resource is ever ahead of program order), so the makespan is the sum of
-// per-invocation costs plus the reconfiguration walk's on-demand loads —
-// the same additive structure that makes the simulator agree with the
-// analytical model cycle for cycle at the model's operating point.
-func (s *simScorer) closedForm(moved []ir.BlockID) (int64, error) {
-	n := len(s.f.Blocks)
-	movedMask := make([]bool, n)
-	for _, b := range moved {
-		if int(b) < 0 || int(b) >= n {
-			return 0, fmt.Errorf("hybridpart: moved block %d outside the function", b)
-		}
-		movedMask[b] = true
-	}
-	pm, err := finegrain.PackFunction(s.f, s.plat.Fine, func(id ir.BlockID) bool { return !movedMask[id] })
-	if err != nil {
-		return 0, err
-	}
-
-	reconT := int64(s.plat.Fine.RegionReconfigCycles()) * s.ratio
-	regions := pm.Regions
-	var ticks int64
-	var coarseDelta int64 // Σ freq·(lat+tx) over the moved set, in ticks
-	for id := 0; id < n; id++ {
-		freq := int64(s.freq[id])
-		if freq == 0 {
-			continue
-		}
-		if movedMask[id] {
-			lat, err := s.rep.CoarseLatency(ir.BlockID(id))
-			if err != nil {
-				return 0, err
-			}
-			coarseDelta += freq * (lat + s.rep.TransferTicks(ir.BlockID(id), s.cfg.Ports))
-			continue
-		}
-		cost := pm.PerBlockCycles[id] * s.ratio
-		if regions == 1 {
-			// Single context: every internal boundary reloads, so the
-			// straddle cost is a static per-execution count. With more
-			// regions straddle reloads depend on residency and ride the
-			// walk below instead.
-			cost += int64(pm.InternalCrossings[id]) * reconT
-		}
-		ticks += freq * cost
-	}
-	ticks += coarseDelta
-
-	if regions > 1 {
-		// Multi-region sequencer walk, mirroring the replay exactly: a
-		// partition loads only when its region holds something else, for
-		// entry and straddle needs alike. Entry and straddle loads are both
-		// residency-dependent here, so the incremental tier (which reuses a
-		// static entry-load vector) does not apply.
-		loadedR := make([]int, regions)
-		for i := range loadedR {
-			loadedR[i] = -1
-		}
-		if pm.NumPartitions == 0 {
-			loadedR[0] = 0 // nothing to configure
-		}
-		var loads int64
-		s.rep.WalkTrace(func(b ir.BlockID) {
-			if movedMask[b] {
-				return
-			}
-			need := pm.FirstPart[b]
-			if reg := need % regions; loadedR[reg] != need {
-				loads++
-				loadedR[reg] = need
-			}
-			for q := need + 1; q <= pm.LastPart[b]; q++ {
-				if reg := q % regions; loadedR[reg] != q {
-					loads++
-					loadedR[reg] = q
-				}
-			}
-		})
-		ticks += loads * reconT
-		s.stats.ClosedForm++
-		s.last = nil
-		return ceilDiv64(ticks, s.ratio), nil
-	}
-
-	// Incremental tier: the trajectory hands us prefixes, each extending the
-	// last by one kernel k. When repacking without k leaves every remaining
-	// block's partition assignment unchanged and k itself never straddled a
-	// boundary or triggered an entry load, k's fabric reassignment does not
-	// change the crossing set — the load walk would count exactly the loads
-	// it counted last time, so the memoized count is reused without
-	// re-walking the trace.
-	if prev := s.last; prev != nil && len(moved) == len(prev.moved)+1 &&
-		sameBlocks(moved[:len(prev.moved)], prev.moved) &&
-		prev.entryLoads[moved[len(prev.moved)]] == 0 &&
-		sameCrossingSet(pm, prev.pm, moved[len(prev.moved)]) {
-		// prev.entryLoads stays valid verbatim: the elided kernel's entry
-		// count is zero and every other block loads exactly as before.
-		ticks += sumLoads(prev.entryLoads) * reconT
-		s.stats.Incremental++
-		s.last = &scoredMapping{moved: append([]ir.BlockID(nil), moved...), pm: pm, entryLoads: prev.entryLoads, ticks: ticks}
-		return ceilDiv64(ticks, s.ratio), nil
-	}
-
-	// Reconfiguration walk: replay only the sequencer's loaded-partition
-	// state machine over the canonical trace — the one quantity of the
-	// single-frame makespan that needs the trace at all.
-	entryLoads := make([]int64, n)
-	loaded := -1
-	if pm.NumPartitions == 0 {
-		loaded = 0 // nothing to configure
-	}
-	s.rep.WalkTrace(func(b ir.BlockID) {
-		if movedMask[b] {
-			return
-		}
-		if pm.FirstPart[b] != loaded {
-			entryLoads[b]++
-			loaded = pm.FirstPart[b]
-		}
-		loaded = pm.LastPart[b]
-	})
-	ticks += sumLoads(entryLoads) * reconT
-	s.stats.ClosedForm++
-	s.last = &scoredMapping{moved: append([]ir.BlockID(nil), moved...), pm: pm, entryLoads: entryLoads, ticks: ticks}
-	return ceilDiv64(ticks, s.ratio), nil
-}
-
-func sumLoads(loads []int64) int64 {
-	var total int64
-	for _, n := range loads {
-		total += n
-	}
-	return total
-}
-
-func sameBlocks(a, b []ir.BlockID) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// sameCrossingSet reports whether moving kernel k provably leaves the
-// reconfiguration sequence unchanged: every block keeps its partition
-// assignment across the repack, and k neither straddled a boundary nor ever
-// entered on a cold partition (so eliding its visits from the trace leaves
-// the sequencer's loaded-partition state machine on the same path).
-func sameCrossingSet(cur, prev *finegrain.PackedMapping, k ir.BlockID) bool {
-	if cur.NumPartitions != prev.NumPartitions {
-		return false
-	}
-	if prev.InternalCrossings[k] != 0 {
-		return false
-	}
-	for id := range cur.FirstPart {
-		if ir.BlockID(id) == k {
-			continue
-		}
-		if cur.FirstPart[id] != prev.FirstPart[id] || cur.LastPart[id] != prev.LastPart[id] ||
-			cur.InternalCrossings[id] != prev.InternalCrossings[id] {
-			return false
-		}
-	}
-	return true
-}
-
-func ceilDiv64(a, b int64) int64 { return (a + b - 1) / b }

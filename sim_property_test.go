@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"hybridpart/internal/ir"
+	"hybridpart/internal/sim"
 )
 
 // This file is the model↔simulator agreement suite: randomized (seeded,
@@ -23,8 +26,8 @@ import (
 //	(d) re-ranking every prefix is the simulated objective (rerank k = -1
 //	    and ObjectiveSimulated choose identical mappings and makespans).
 //
-// Plus the implementation invariant behind them all: the closed-form and
-// incremental fast paths score exactly what the full event replay scores.
+// Plus the implementation invariant behind them all: the closed-form fast
+// path scores exactly what the full event replay scores.
 
 // propertySeeds are the logged RNG seeds every property runs under. Fixed
 // seeds keep failures reproducible; the t.Logf lines name the seed and the
@@ -84,6 +87,15 @@ func (c propertyConfig) engineOpts(extra ...Option) []Option {
 		opts = append(opts, WithRegions(c.regions))
 	}
 	return append(opts, extra...)
+}
+
+// withScoring selects a reference scoring path (scoreSerial,
+// scoreUnpruned) on the engine under construction.
+func withScoring(m scoringMode) Option {
+	return func(e *Engine) error {
+		e.scoring = m
+		return nil
+	}
 }
 
 func partitionWith(t *testing.T, app *App, prof *RunProfile, opts ...Option) *Result {
@@ -287,15 +299,16 @@ func TestSimPropertyRerankAllEquivalent(t *testing.T) {
 	}
 }
 
-// TestSimPropertyFastPathMatchesReplay pins the closed-form and incremental
-// scoring tiers to the full discrete-event replay: with the fast paths
-// disabled, every randomized single-frame run must choose the same mapping
-// with the same makespan — and the enabled runs must actually have used the
-// fast paths.
+// TestSimPropertyFastPathMatchesReplay pins the closed-form scoring tier to
+// the full discrete-event replay at the engine layer: against the serial
+// reference (a full-report replay per candidate), every randomized
+// single-frame run must choose the same mapping with the same makespan —
+// and the live runs must actually have used the closed form.
 func TestSimPropertyFastPathMatchesReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping benchmark compilation in -short mode")
 	}
+	t.Parallel()
 	app, prof, err := ProfileBenchmarkCached(BenchOFDM, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -307,18 +320,75 @@ func TestSimPropertyFastPathMatchesReplay(t *testing.T) {
 			cfg.frames, cfg.prefetch = 1, false // the fast-path regime
 			t.Logf("seed=%d draw=%d %s", seed, i, cfg)
 			fast := partitionWith(t, app, prof, cfg.engineOpts(WithObjective(ObjectiveSimulated))...)
-			if fast.SimStats.Replays != 0 || fast.SimStats.ClosedForm+fast.SimStats.Incremental == 0 {
+			if fast.SimStats.Replays != 0 || fast.SimStats.ClosedForm == 0 {
 				t.Fatalf("seed=%d %s: fast path not exercised: %+v", seed, cfg, fast.SimStats)
 			}
-			debugDisableSimFastPath = true
-			slow := partitionWith(t, app, prof, cfg.engineOpts(WithObjective(ObjectiveSimulated))...)
-			debugDisableSimFastPath = false
-			if slow.SimStats.ClosedForm+slow.SimStats.Incremental != 0 {
-				t.Fatalf("seed=%d %s: fast path ran while disabled: %+v", seed, cfg, slow.SimStats)
+			slow := partitionWith(t, app, prof, cfg.engineOpts(WithObjective(ObjectiveSimulated), withScoring(scoreSerial))...)
+			if slow.SimStats.ClosedForm != 0 {
+				t.Fatalf("seed=%d %s: fast path ran in the serial reference: %+v", seed, cfg, slow.SimStats)
 			}
 			if fast.SimulatedCycles != slow.SimulatedCycles || fmt.Sprint(fast.Moved) != fmt.Sprint(slow.Moved) {
 				t.Fatalf("seed=%d %s: fast path diverges from replay: moved %v sim %d, want moved %v sim %d",
 					seed, cfg, fast.Moved, fast.SimulatedCycles, slow.Moved, slow.SimulatedCycles)
+			}
+		}
+	}
+}
+
+// TestSimPropertyClosedFormMatchesReplay checks the closed form against the
+// replay directly, mapping by mapping, on both paper benchmarks at Regions ∈
+// {1, 2, 4}: every prefix of the model trajectory (a few on JPEG, whose
+// trace has over a million entries) must score cycle for cycle what a
+// single-frame replay measures. Total area scales with the region count so
+// the per-region area stays fixed.
+func TestSimPropertyClosedFormMatchesReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping benchmark compilation in -short mode")
+	}
+	t.Parallel()
+	for _, bench := range Benchmarks() {
+		app, prof, err := ProfileBenchmarkCached(bench, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, regions := range []int{1, 2, 4} {
+			eng, err := NewEngine(WithArea(1500*regions), WithRegions(regions),
+				WithConstraint(1), WithSimFrames(1)) // constraint 1: the loop walks the whole trajectory
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, scorer, err := eng.partitionScored(context.Background(), app, prof, eng.opts, eng.costsSet, nil, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var moved []ir.BlockID
+			for _, b := range res.Moved {
+				moved = append(moved, ir.BlockID(b))
+			}
+			prefixes := make([]int, len(moved)+1)
+			for i := range prefixes {
+				prefixes[i] = i
+			}
+			if bench == BenchJPEG {
+				prefixes = []int{0, len(moved) / 2, len(moved)}
+			}
+			var arena sim.Arena
+			for _, ports := range []int{1, 4} {
+				cfg := sim.Config{Frames: 1, Ports: ports}
+				for _, k := range prefixes {
+					cf, err := scorer.rep.ClosedForm(cfg, moved[:k], &arena)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mk, err := scorer.rep.Makespan(context.Background(), cfg, moved[:k], &arena)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if cf != mk {
+						t.Fatalf("bench=%s regions=%d ports=%d prefix %d (%v): closed form %d, replay %d",
+							bench, regions, ports, k, moved[:k], cf, mk)
+					}
+				}
 			}
 		}
 	}
@@ -473,8 +543,9 @@ func TestSweepSimPartialCancel(t *testing.T) {
 
 // TestSimPropertyParallelEquivalence is the tentpole determinism pin: the
 // batched, parallel, branch-and-bound scorer must choose byte-for-byte the
-// same partition as the PR-5 serial path for every worker count. The serial
-// reference runs with debugSerialScoring (no batch argmin, no pruning);
+// same partition as the serial reference for every worker count. The
+// reference scores with scoreSerial (a full-report replay per candidate, no
+// closed form, no pruning);
 // each worker count then runs the live path, and the chosen mapping,
 // trajectory, analytical cycles, simulated makespan and the full SimReport
 // JSON must be identical. Scheduling-dependent counters (Pruned/Parallel/
@@ -483,6 +554,7 @@ func TestSimPropertyParallelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping benchmark compilation in -short mode")
 	}
+	t.Parallel()
 	app, prof, err := ProfileBenchmarkCached(BenchOFDM, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -507,9 +579,7 @@ func TestSimPropertyParallelEquivalence(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			cfg := drawConfig(rng)
 			t.Logf("seed=%d draw=%d %s", seed, i, cfg)
-			debugSerialScoring = true
-			ref := partitionWith(t, app, prof, cfg.engineOpts(WithObjective(ObjectiveSimulated))...)
-			debugSerialScoring = false
+			ref := partitionWith(t, app, prof, cfg.engineOpts(WithObjective(ObjectiveSimulated), withScoring(scoreSerial))...)
 			refRep := reportJSON(cfg, ref)
 			for _, workers := range []int{1, 2, 4, 8} {
 				got := partitionWith(t, app, prof,
@@ -541,6 +611,7 @@ func TestSimPropertyPruningPreservesArgmin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping benchmark compilation in -short mode")
 	}
+	t.Parallel()
 	app, prof, err := ProfileBenchmarkCached(BenchOFDM, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -556,9 +627,7 @@ func TestSimPropertyPruningPreservesArgmin(t *testing.T) {
 			t.Logf("seed=%d draw=%d %s", seed, i, cfg)
 			pruned := partitionWith(t, app, prof, cfg.engineOpts(WithObjective(ObjectiveSimulated))...)
 			totalPruned += pruned.SimStats.Pruned
-			debugDisablePruning = true
-			full := partitionWith(t, app, prof, cfg.engineOpts(WithObjective(ObjectiveSimulated))...)
-			debugDisablePruning = false
+			full := partitionWith(t, app, prof, cfg.engineOpts(WithObjective(ObjectiveSimulated), withScoring(scoreUnpruned))...)
 			if full.SimStats.Pruned != 0 {
 				t.Fatalf("seed=%d %s: pruning fired while disabled: %+v", seed, cfg, full.SimStats)
 			}
