@@ -122,10 +122,12 @@ func BenchmarkTable3JPEGPartitioning(b *testing.B) {
 // scratch before partitioning. "shared-parallel" is the explore engine:
 // one compiled+profiled App shared across all cells, evaluated on a worker
 // pool. Profiling is input-deterministic, so both paths produce identical
-// numbers (TestSweepMatchesSerial); only the wall clock differs.
+// numbers (TestSweepMatchesSerial); only the wall clock differs. Each path
+// reports its grid cells evaluated per second as cells/s.
 func BenchmarkSweepEngine(b *testing.B) {
 	areas := []int{1500, 5000}
 	ncgcs := []int{1, 2, 4}
+	cells := float64(len(areas) * len(ncgcs))
 	b.Run("serial-recompile", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, afpga := range areas {
@@ -144,6 +146,7 @@ func BenchmarkSweepEngine(b *testing.B) {
 				}
 			}
 		}
+		b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
 	})
 	b.Run("shared-parallel", func(b *testing.B) {
 		spec := SweepSpec{
@@ -162,6 +165,7 @@ func BenchmarkSweepEngine(b *testing.B) {
 				b.Fatalf("sweep cell failed: %+v", failed[0])
 			}
 		}
+		b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
 	})
 }
 
@@ -376,7 +380,7 @@ func BenchmarkEnergyPartitioning(b *testing.B) {
 // benchmarks: partition, reconstruct the profiled trace, and replay it
 // event by event against both mappings. simcycles/s is the simulated
 // platform time covered per wall-clock second — the simulator's headline
-// throughput (CI publishes it via cmd/benchjson as BENCH_sim.json).
+// throughput (CI publishes it in BENCH.json as .Simulate.<bench>).
 func BenchmarkSimulate(b *testing.B) {
 	for _, bench := range Benchmarks() {
 		b.Run(bench, func(b *testing.B) {
@@ -426,9 +430,8 @@ func BenchmarkSimulateFrames(b *testing.B) {
 // frames): the monolithic context, the monolithic context with prefetch
 // (the single-context model's best mitigation), and two independently
 // reconfigurable regions. Each run reports the simulated makespan and
-// speedup; cmd/benchjson publishes the sub-benchmarks as
-// BENCH_regions.json, and CI gates r2's makespan strictly below
-// r1_prefetch's.
+// speedup; CI reads them from BENCH.json (.Regions.<mode>) and gates r2's
+// makespan strictly below r1_prefetch's.
 func BenchmarkRegions(b *testing.B) {
 	app, prof, _, _ := benchSetup(b)
 	modes := []struct {
@@ -462,7 +465,7 @@ func BenchmarkRegions(b *testing.B) {
 // pipelined frames: the closed-form model loop, the fully simulation-scored
 // loop, and rerank(3), the cheap middle ground. Each run reports the chosen
 // mapping's simulated makespan and speedup, so the published artifact
-// (BENCH_objective.json via cmd/benchjson) tracks both the wall-time cost
+// (.Objective.<mode> in BENCH.json) tracks both the wall-time cost
 // of feedback-directed partitioning and the execution-level speedup it
 // buys back.
 func BenchmarkObjective(b *testing.B) {
@@ -500,9 +503,9 @@ func BenchmarkObjective(b *testing.B) {
 // branch-and-bound batch scorer with an N-worker budget. On a single-core
 // host the speedup comes from pruning, arena reuse and report-free replays
 // rather than concurrency, so wN tracks w1 closely there; allocs/op pins
-// the arena's steady-state zero-allocation claim. cmd/benchjson publishes
-// the sub-benchmarks (and the w8-over-serial speedup) in
-// BENCH_objective.json, which CI gates at >= 3x.
+// the arena's steady-state zero-allocation claim. CI reads the
+// sub-benchmarks from BENCH.json (.ObjectiveParallel.<mode>) and gates the
+// serial-over-w8 ns/op ratio at >= 3.
 func BenchmarkObjectiveParallel(b *testing.B) {
 	app, prof, _, _ := benchSetup(b)
 	run := func(b *testing.B, workers int, serialScoring bool) {
@@ -543,8 +546,8 @@ func BenchmarkObjectiveParallel(b *testing.B) {
 // on the span-heaviest workload, the simulation-scored move loop.
 // enabled-pct additionally reports the measured slowdown of FULL tracing
 // (interleaved disabled/enabled pairs, cancelling cache-warming drift) for
-// the trajectory record. cmd/benchjson publishes both as BENCH_trace.json;
-// CI gates overhead_pct < 2.
+// the trajectory record. CI reads both from BENCH.json
+// (.TraceOverhead[""]) and gates overhead_pct < 2.
 func BenchmarkTraceOverhead(b *testing.B) {
 	app, prof, _, _ := benchSetup(b)
 	eng, err := NewEngine(WithConstraint(60000), WithSimFrames(8),
@@ -615,8 +618,8 @@ func BenchmarkTraceOverhead(b *testing.B) {
 // real traced run's span set, SampleNow on a live collector — and modeled
 // against the untraced run time of the span-heaviest workload: per op the
 // server pays one Observe plus the sampler's share of wall time at the
-// default 10s -telemetry-interval. cmd/benchjson publishes the model as
-// BENCH_telemetry.json; CI gates overhead_pct < 2.
+// default 10s -telemetry-interval. CI reads the model from BENCH.json
+// (.TelemetryOverhead[""]) and gates overhead_pct < 2.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	app, prof, _, _ := benchSetup(b)
 	eng, err := NewEngine(WithConstraint(60000), WithSimFrames(8),

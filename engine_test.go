@@ -100,6 +100,35 @@ func TestEngineLegacyParity(t *testing.T) {
 	}
 }
 
+// TestSkipNonImprovingPricesCurrentPacking pins a run where a skip decision
+// depends on the moves made before it: each candidate's FPGA cost must come
+// from the packing of the current moved set, not the all-FPGA one. On JPEG
+// at A_FPGA 768 pricing every kernel on the all-FPGA packing moves
+// [67 71 75 61 16 20 26] and ends at 20952862 cycles instead.
+func TestSkipNonImprovingPricesCurrentPacking(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping benchmark compilation in -short mode")
+	}
+	app, prof, err := ProfileBenchmarkCached(BenchJPEG, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(WithSkipNonImproving(true), WithArea(768), WithConstraint(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.PartitionProfiled(context.Background(), app, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{67, 71, 75, 61, 16, 48}; !reflect.DeepEqual(res.Moved, want) || res.FinalCycles != 20002091 {
+		t.Fatalf("moved %v, final %d; want %v, final 20002091", res.Moved, res.FinalCycles, want)
+	}
+	if len(res.Skipped) != 68 {
+		t.Fatalf("%d kernels skipped, want 68", len(res.Skipped))
+	}
+}
+
 // TestEngineWorkloadMatchesLegacyTriad proves the Workload lifecycle is the
 // same computation as the App/Runner/RunProfile triad.
 func TestEngineWorkloadMatchesLegacyTriad(t *testing.T) {

@@ -234,8 +234,11 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 	var commCycles int64
 	ratio := int64(plat.Coarse.ClockRatio)
 
+	// cur is the fine-grain packing of the current moved set: the all-FPGA
+	// pm until the first move, then whatever evalTotal last packed.
+	cur := pm
 	evalTotal := func() (tFPGA, tCoarse, tComm, total int64, err error) {
-		cur, err := finegrain.PackFunction(f, plat.Fine, func(id ir.BlockID) bool { return !moved[id] })
+		cur, err = finegrain.PackFunction(f, plat.Fine, func(id ir.BlockID) bool { return !moved[id] })
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}
@@ -276,11 +279,7 @@ func Partition(ctx context.Context, prog *ir.Program, f *ir.Function, rep *analy
 		if cfg.SkipNonImproving {
 			// Does the move pay for itself? Compare the kernel's current
 			// FPGA cost against its coarse cost plus communication.
-			curPM, err := finegrain.PackFunction(f, plat.Fine, func(id ir.BlockID) bool { return !moved[id] })
-			if err != nil {
-				return nil, err
-			}
-			fpgaCost := curPM.PerBlockCycles[k] * int64(freq[k])
+			fpgaCost := cur.PerBlockCycles[k] * int64(freq[k])
 			coarseCost := (moveCGC+ratio-1)/ratio + moveComm
 			if coarseCost >= fpgaCost {
 				res.Skipped = append(res.Skipped, k)

@@ -24,7 +24,8 @@ import (
 // simCost prices a request in the sweep grid's cost units (whole-trace
 // replays): a run costs its frame count, multiplied by the trajectory
 // factor when the move loop scores candidates by simulation — the same
-// accounting checkScoringCost and SweepSpec.SimulationCost apply.
+// accounting SweepSpec.SimulationCost applies, and what maxScoringCost
+// bounds.
 // Closed-form runs (model objective, no frames, not a simulate call)
 // cost 0.
 func simCost(kind string, opts hybridpart.Options) int {

@@ -723,11 +723,12 @@ func (s *Server) servePartition(w http.ResponseWriter, r *http.Request, energy b
 		}
 		var opts hybridpart.Options
 		if opts, httpErr = req.resolveOptions(); httpErr == nil {
+			cost := simCost(kind, opts)
 			if !energy {
-				httpErr = checkScoringCost(opts)
+				httpErr = overScoringBudget(cost)
 			}
 			if httpErr == nil {
-				s.serveCached(w, r, endpoint, req.fingerprint(kind, opts), req, simCost(kind, opts),
+				s.serveCached(w, r, endpoint, req.fingerprint(kind, opts), req, cost,
 					func(ctx context.Context) ([]byte, error) {
 						return run(ctx, req, opts)
 					})
@@ -829,11 +830,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// The sim knobs were folded into opts by resolveOptions (the one
 	// fingerprinted location), so the engine's configuration already is the
 	// requested operating point — no per-call SimOptions needed.
-	if httpErr := checkScoringCost(opts); httpErr != nil {
+	cost := simCost("simulate", opts)
+	if httpErr := overScoringBudget(cost); httpErr != nil {
 		s.writeError(w, httpErr)
 		return
 	}
-	s.serveCached(w, r, "/v1/simulate", req.fingerprint(opts), &req, simCost("simulate", opts),
+	s.serveCached(w, r, "/v1/simulate", req.fingerprint(opts), &req, cost,
 		func(ctx context.Context) ([]byte, error) {
 			eng, err := hybridpart.NewEngine(
 				hybridpart.WithOptions(opts),

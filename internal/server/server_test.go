@@ -1010,6 +1010,18 @@ func TestPartitionDefaultObjective(t *testing.T) {
 	if allow.Code != http.StatusOK {
 		t.Fatalf("model frames=256: status %d: %s", allow.Code, allow.Body)
 	}
+	// /v1/simulate charges the same cost: 256 frames x 32 = 8192 replays.
+	simDeny := post(t, s, "/v1/simulate", `{"benchmark":"ofdm","seed":1,"constraint":60000,"frames":256,"objective":"sim"}`)
+	if simDeny.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("simulate sim-scored frames=256: status %d, want 422: %s", simDeny.Code, simDeny.Body)
+	}
+	var e ErrorJSON
+	if err := json.Unmarshal(simDeny.Body.Bytes(), &e); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(e.Error, "8192") || !strings.Contains(e.Error, "limit is 4096") {
+		t.Fatalf("simulate 422 message does not carry the computed cost: %q", e.Error)
+	}
 
 	// The scoring work feeds the /debug/stats aggregate.
 	stats := get(t, s, "/debug/stats")

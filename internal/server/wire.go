@@ -286,30 +286,22 @@ func (r *PartitionRequest) applyDefaultObjective() {
 }
 
 // maxScoringCost bounds one partition/simulate request's candidate-scoring
-// cost in whole-trace replays, the same accounting /v1/sweep applies per
-// cell: a run costs its frame count, times the trajectory factor when the
-// move loop scores candidates by simulation (simulated objective or
+// cost (simCost) in whole-trace replays, the same accounting /v1/sweep
+// applies per cell: a run costs its frame count, times the trajectory factor
+// when the move loop scores candidates by simulation (simulated objective or
 // re-ranking) — each of those replays the trace once per trajectory prefix.
 const maxScoringCost = 4 * maxSimFrames
 
-// checkScoringCost applies the trajectory-factor cost accounting to a
-// resolved knob set. It runs after resolveOptions so a full Options
-// override is charged like the equivalent shortcuts.
-func checkScoringCost(opts hybridpart.Options) *httpError {
-	frames := opts.SimFrames
-	if frames < 1 {
-		frames = 1
+// overScoringBudget returns the 422 for a request whose simCost exceeds
+// maxScoringCost, nil otherwise. Callers price the resolved knob set, so a
+// full Options override is charged like the equivalent shortcuts.
+func overScoringBudget(cost int) *httpError {
+	if cost <= maxScoringCost {
+		return nil
 	}
-	cost := frames
-	if opts.Objective == hybridpart.ObjectiveSimulated || opts.RerankK != 0 {
-		cost *= hybridpart.SimObjectiveReplayFactor
-	}
-	if cost > maxScoringCost {
-		return &httpError{status: http.StatusUnprocessableEntity, msg: fmt.Sprintf(
-			"request costs %d trace replays (frames, sim-scored runs weighted ×%d), limit is %d — lower \"frames\" or use \"objective\": \"model\"",
-			cost, hybridpart.SimObjectiveReplayFactor, maxScoringCost)}
-	}
-	return nil
+	return &httpError{status: http.StatusUnprocessableEntity, msg: fmt.Sprintf(
+		"request costs %d trace replays (frames, sim-scored runs weighted ×%d), limit is %d — lower \"frames\" or use \"objective\": \"model\"",
+		cost, hybridpart.SimObjectiveReplayFactor, maxScoringCost)}
 }
 
 // entryOrDefault returns the entry function for source workloads.

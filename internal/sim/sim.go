@@ -351,6 +351,37 @@ func (r *Replayer) pack(movedBlocks []ir.BlockID, a *Arena) (*finegrain.PackedMa
 	return finegrain.PackFunction(r.in.F, r.in.Plat.Fine, func(id ir.BlockID) bool { return !a.moved[id] })
 }
 
+// packTables packs the mapping like pack, then fills the arena's per-block
+// tick tables for it: a moved block's data-path latency (T_CGC cycles, from
+// the same list schedule the engine used) and per-invocation transfer
+// occupancy (from its live-in/out footprint), or a kept block's fine-grain
+// cycles per execution. Both branches write all three tables — the arena may
+// hold a previous mapping's values. The fill is O(blocks), not O(trace).
+func (r *Replayer) packTables(movedBlocks []ir.BlockID, ports int, a *Arena) (*finegrain.PackedMapping, error) {
+	pm, err := r.pack(movedBlocks, a)
+	if err != nil {
+		return nil, err
+	}
+	ratio := int64(r.in.Plat.Coarse.ClockRatio)
+	for id, moved := range a.moved {
+		b := ir.BlockID(id)
+		if moved {
+			lat, err := r.coarseLatency(b)
+			if err != nil {
+				return nil, err
+			}
+			a.latT[id] = lat
+			a.txT[id] = r.transferTicks(b, ports)
+			a.execT[id] = 0
+			continue
+		}
+		a.latT[id] = 0
+		a.txT[id] = 0
+		a.execT[id] = pm.PerBlockCycles[id] * ratio
+	}
+	return pm, nil
+}
+
 // Simulate replays the trace against the mapping that moves the given blocks
 // to the coarse-grain data-path (nil simulates the all-FPGA mapping).
 func (r *Replayer) Simulate(ctx context.Context, cfg Config, movedBlocks []ir.BlockID) (*Report, error) {
@@ -609,33 +640,15 @@ func (r *Replayer) FineWalkBound(cfg Config, movedBlocks []ir.BlockID, a *Arena)
 	if a == nil {
 		a = new(Arena)
 	}
-	pm, err := r.pack(movedBlocks, a)
+	pm, err := r.packTables(movedBlocks, cfg.Ports, a)
 	if err != nil {
 		return 0, err
 	}
-	n, moved := len(a.moved), a.moved
+	moved := a.moved
 	ratio := int64(r.in.Plat.Coarse.ClockRatio)
 	reconT := int64(r.in.Plat.Fine.RegionReconfigCycles()) * ratio
 	regions := pm.Regions
-	// Per-block tables, filled exactly like the replay's (the arena may hold
-	// a previous mapping's values, so moved and kept entries both write).
 	latT, txT, execT := a.latT, a.txT, a.execT
-	for id := 0; id < n; id++ {
-		b := ir.BlockID(id)
-		if moved[id] {
-			lat, err := r.coarseLatency(b)
-			if err != nil {
-				return 0, err
-			}
-			latT[id] = lat
-			txT[id] = r.transferTicks(b, cfg.Ports)
-			execT[id] = 0
-			continue
-		}
-		latT[id] = 0
-		txT[id] = 0
-		execT[id] = pm.PerBlockCycles[id] * ratio
-	}
 	// A frame's walk depends on the initially resident partitions only
 	// through each region's first need: after a region is touched once, its
 	// state evolves identically for any starting residency. So one walk
@@ -785,36 +798,15 @@ func (r *Replayer) FineWalkBound(cfg Config, movedBlocks []ir.BlockID, a *Arena)
 func (r *Replayer) replay(ctx context.Context, cfg Config, movedBlocks []ir.BlockID, a *Arena, rep *Report) (int64, error) {
 	in := r.in
 	f := in.F
-	pm, err := r.pack(movedBlocks, a)
+	pm, err := r.packTables(movedBlocks, cfg.Ports, a)
 	if err != nil {
 		return 0, err
 	}
 	n, moved := len(a.moved), a.moved
-
-	// The coarse-grain side: per-kernel data-path latency (T_CGC cycles)
-	// from the same list schedule the engine used, and per-invocation
-	// transfer words from the live-in/out footprints. Both branches write
-	// all three tables — the arena may hold a previous mapping's values.
 	ratio := int64(in.Plat.Coarse.ClockRatio)
 	reconT := int64(in.Plat.Fine.RegionReconfigCycles()) * ratio
 	regions := pm.Regions
 	latT, txT, execT := a.latT, a.txT, a.execT
-	for id := 0; id < n; id++ {
-		b := ir.BlockID(id)
-		if moved[id] {
-			lat, err := r.coarseLatency(b)
-			if err != nil {
-				return 0, err
-			}
-			latT[id] = lat
-			txT[id] = r.transferTicks(b, cfg.Ports)
-			execT[id] = 0
-			continue
-		}
-		latT[id] = 0
-		txT[id] = 0
-		execT[id] = pm.PerBlockCycles[id] * ratio
-	}
 
 	trace := r.trace
 
